@@ -9,12 +9,11 @@ test:
 	dune runtest
 
 # The tier-1 gate: what CI runs. Stray trace files from local --trace /
-# BCCLB_TRACE runs, dist sockets from killed --backend procs runs, serve
-# daemon leftovers (sockets, replay dumps, BENCH_serve.json), and the
-# arena orbit spill segments (results/cache/arena — content-addressed,
+# BCCLB_TRACE runs, dist sockets from killed --backend procs runs, and
+# the arena orbit spill segments (results/cache/arena — content-addressed,
 # always rebuildable) are cleaned up so they never end up in commits.
 check:
-	rm -f *.trace.json *.trace.jsonl *.sock serve-* BENCH_serve.json
+	rm -f *.trace.json *.trace.jsonl *.sock
 	rm -f BENCH_current.json BENCH_doctored.json scrape.txt
 	rm -rf results/cache/arena telemetry-* e15-*
 	dune build && dune runtest

@@ -116,40 +116,6 @@ let bench_hopcroft_karp =
   Test.make ~name:"sub-hopcroft-karp-500"
     (Staged.stage @@ fun () -> ignore (Bcclb_graph.Hopcroft_karp.max_matching ~nl:500 ~nr:500 ~adj))
 
-(* The lock-free union-find kernels behind Conn and `experiments
-   serve': bulk unions from scratch, then saturated same_set probes on
-   a settled structure. *)
-let ufind_edges =
-  let rng = Rng.create ~seed:11 in
-  let edges = Array.make 4096 (0, 0) in
-  for i = 0 to Array.length edges - 1 do
-    let u = Rng.int rng 4096 in
-    let v = Rng.int rng 4096 in
-    edges.(i) <- (u, v)
-  done;
-  edges
-
-let bench_ufind_unions =
-  Test.make ~name:"sub-ufind-union-4096"
-    (Staged.stage @@ fun () -> ignore (Bcclb_ufind.Ufind.of_edges ~n:4096 ufind_edges))
-
-let bench_ufind_queries =
-  let uf = Bcclb_ufind.Ufind.of_edges ~n:4096 ufind_edges in
-  let rng = Rng.create ~seed:12 in
-  let probes = Array.make 4096 (0, 0) in
-  for i = 0 to Array.length probes - 1 do
-    let u = Rng.int rng 4096 in
-    let v = Rng.int rng 4096 in
-    probes.(i) <- (u, v)
-  done;
-  Test.make ~name:"sub-ufind-same-set-4096"
-    (Staged.stage
-    @@ fun () ->
-    let hits = ref 0 in
-    Array.iter (fun (u, v) -> if Bcclb_ufind.Ufind.same_set uf u v then incr hits) probes;
-    ignore !hits)
-
-
 (* Extensions: E11..E14 kernels. *)
 let bench_pls_spanning =
   let inst = Bcc_instance.kt0_circulant (Bcclb_graph.Gen.cycle 64) in
@@ -261,7 +227,6 @@ let tests =
     [ bench_census; bench_indist; bench_mu_error; bench_crossing; bench_rank; bench_rank_exact;
       bench_partition_protocol; bench_gadget; bench_pipeline; bench_mi; bench_discovery;
       bench_min_label; bench_boruvka; bench_bell; bench_join; bench_hopcroft_karp;
-      bench_ufind_unions; bench_ufind_queries;
       bench_pls_spanning; bench_token_routing; bench_split_boruvka; bench_mst; bench_agm;
       bench_mt_syndrome; bench_syndrome_decode; bench_l0_sampler; bench_pool_batch_1dom; bench_pool_batch_4dom; bench_pool_indist_1dom;
       bench_pool_indist_4dom ]

@@ -395,37 +395,6 @@ let compare_engine ~tolerance baseline current =
       | _ -> ())
     [ "engine.runs"; "engine.bits_broadcast" ]
 
-(* BENCH_serve.json (bcclb-serve-bench-v1): qps is higher-better,
-   latency quantiles lower-better with a 100 us floor, and the request
-   count is exact (the generator is seeded). *)
-let compare_serve ~tolerance baseline current =
-  let tol = tolerance /. 100.0 in
-  let fpath j path =
-    List.fold_left (fun acc k -> Option.bind acc (Json.member k)) (Some j) path
-  in
-  let num j path = Option.bind (fpath j path) Json.to_float_opt in
-  (match (num baseline [ "queries" ], num current [ "queries" ]) with
-  | Some b, Some c when b <> c -> regress "  REGRESSION queries %.0f -> %.0f\n%!" b c
-  | _ -> ());
-  (match (num baseline [ "qps" ], num current [ "qps" ]) with
-  | Some b, Some c when c < b *. (1.0 -. tol) ->
-    regress "  REGRESSION qps %.0f, below baseline %.0f - %g%%\n%!" c b tolerance
-  | Some _, None -> regress "  REGRESSION qps missing from report\n%!"
-  | _ -> ());
-  List.iter
-    (fun path ->
-      let name = String.concat "." path in
-      match (num baseline path, num current path) with
-      | Some b, _ when b < 1e-4 -> ()
-      | Some b, Some c when c > b *. (1.0 +. tol) ->
-        regress "  REGRESSION %-36s %.6fs, above baseline %.6fs + %g%%\n%!" name c b tolerance
-      | Some _, None -> regress "  REGRESSION %-36s missing from report\n%!" name
-      | _ -> ())
-    [ [ "server"; "latency_seconds"; "p50" ];
-      [ "server"; "latency_seconds"; "p99" ];
-      [ "client"; "batch_seconds"; "p50" ];
-      [ "client"; "batch_seconds"; "p99" ] ]
-
 let compare_files ~tolerance ~baseline_path ~current_path =
   let b = load_json baseline_path in
   let c = load_json current_path in
@@ -437,7 +406,6 @@ let compare_files ~tolerance ~baseline_path ~current_path =
   else begin
     match bs with
     | "bcclb-bench-v2" -> compare_engine ~tolerance b c
-    | "bcclb-serve-bench-v1" -> compare_serve ~tolerance b c
     | s ->
       Printf.printf "bench compare: unsupported schema %S\n%!" s;
       exit 2

@@ -7,7 +7,7 @@
    request head, and reads the response to EOF. The request line is
    read only to drain it (any path answers the same body); malformed or
    silent clients are cut off by a receive timeout so a stuck scraper
-   cannot wedge the acceptor. The stop protocol is the serve daemon's:
+   cannot wedge the acceptor. Stopping follows the drain protocol:
    flip the flag, wake the acceptor with a throwaway connection, join,
    close + unlink. *)
 

@@ -1,8 +1,8 @@
 (** Live metrics endpoint: OpenMetrics over minimal HTTP/1.0.
 
     [start] binds a {!Transport} listener (unix or TCP — the
-    [--metrics-addr tcp:host:port] flag on [experiments run],
-    [worker --listen] and [serve]) and answers every connection with
+    [--metrics-addr tcp:host:port] flag on [experiments run] and
+    [worker --listen]) and answers every connection with
     {!Bcclb_obs.Expo.render} of the registry snapshot taken at scrape
     time, so a sweep's live counters (including deltas absorbed from
     workers mid-flight) are visible to Prometheus, [curl], or

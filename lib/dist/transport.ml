@@ -1,12 +1,12 @@
 (* The endpoint layer under the dist runtime: every place that used to
    hand-roll socket setup and framed I/O (the coordinator's listener,
-   the worker's dial-back, the serve daemon, the load client) goes
-   through here. A [listener] owns bind/listen/accept and the unlink of
-   a unix-domain socket path; a [Conn.t] owns one connected fd, its
-   incremental {!Wire} reader and a last-activity clock for heartbeat
-   deadlines. The SIGINT/SIGTERM drain-and-unlink protocol shared by
-   the serve daemon, the listen-mode worker and the CLI lives here too
-   ({!install_stop_signals}/{!wait_stop}). *)
+   the worker's dial-back and listen endpoint) goes through here. A
+   [listener] owns bind/listen/accept and the unlink of a unix-domain
+   socket path; a [Conn.t] owns one connected fd, its incremental
+   {!Wire} reader and a last-activity clock for heartbeat deadlines.
+   The SIGINT/SIGTERM drain-and-unlink protocol shared by the
+   listen-mode worker and the CLI lives here too
+   ({!install_stop_signals}/{!stop_requested}). *)
 
 module Obs = Bcclb_obs
 
@@ -172,12 +172,11 @@ let accept_all l ~on_conn =
 
 (* ---- the shared SIGINT/SIGTERM drain protocol ----
 
-   One flag, two signals, and a polling wait: the serve daemon, the
-   listen-mode worker and `experiments serve` all used to hand-roll
-   this trio (set a flag from the handler, poll it, drain in-flight
-   work, unlink the socket file on the way out). Keeping it here means
-   the unlink cannot be forgotten: pair [wait_stop] with
-   [close_listener].
+   One flag and two signals: the listen-mode worker and
+   `stats --follow` set a flag from the handler and poll it; the worker
+   then drains in-flight work and unlinks its socket file on the way
+   out. Keeping it here means the unlink cannot be forgotten: pair
+   [stop_requested] with [close_listener].
 
    The handler only flips the flag — a trace flush does file I/O and
    must not run in signal context — so the span buffer is flushed by an
@@ -198,8 +197,3 @@ let install_stop_signals () =
   flag
 
 let stop_requested flag = Atomic.get flag
-
-let wait_stop ?(poll = 0.2) flag =
-  while not (Atomic.get flag) do
-    try Unix.sleepf poll with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done

@@ -2,8 +2,7 @@
 
     Every socket the dist runtime opens goes through this layer: the
     coordinator's listener and its dial-outs to roster workers, the
-    worker's dial-back and its [--listen] endpoint, the serve daemon's
-    listener and the load client's connections. It owns the three
+    worker's dial-back and its [--listen] endpoint. It owns the three
     things the call sites used to hand-roll — accept/connect setup,
     {!Wire} framing over a connected fd, and activity clocks for
     heartbeat deadlines — plus the SIGINT/SIGTERM drain-and-unlink
@@ -64,7 +63,7 @@ module Conn : sig
       wrap it. *)
 
   val recv : t -> (string, Wire.error) result
-  (** One frame in, blocking — the worker/serve/load side. *)
+  (** One frame in, blocking — the worker side. *)
 
   val pump :
     ?on_bytes:(int -> unit) ->
@@ -88,15 +87,12 @@ val accept_all : listener -> on_conn:(Conn.t -> unit) -> unit
 val install_stop_signals : unit -> bool Atomic.t
 (** Install SIGINT/SIGTERM handlers that set (and only set) the
     returned flag — the first half of the drain protocol shared by the
-    serve daemon, the listen-mode worker and the CLI. Also registers
+    listen-mode worker and the CLI. Also registers
     (once per process) an [at_exit] hook calling
     {!Bcclb_obs.Trace.stop}, so a SIGTERM'd daemon that traces via
     [$BCCLB_TRACE] flushes a complete file on every exit path instead
     of losing its span buffer. *)
 
 val stop_requested : bool Atomic.t -> bool
-
-val wait_stop : ?poll:float -> bool Atomic.t -> unit
-(** Sleep-poll the flag until it is set (EINTR-safe, so the signal
-    itself wakes the wait). Pair with {!close_listener} to complete
+(** Poll the flag. Pair with {!close_listener} to complete
     drain-and-unlink. *)

@@ -86,23 +86,10 @@ let edges t =
   done;
   !acc
 
-let union_find t =
-  let uf = Union_find.create t.n in
-  iter_edges (fun u v -> ignore (Union_find.union uf u v)) t;
-  uf
-
-(* Component views run on the Conn oracle seam: lock-free Ufind by
-   default, sequential DSU under BCCLB_CONN_ORACLE=dsu, byte-identical
-   labels either way (CI diffs the two). *)
 let conn t =
   let c = Conn.create t.n in
   iter_edges (fun u v -> ignore (Conn.union c u v)) t;
   c
-
-let ufind t =
-  let uf = Bcclb_ufind.Ufind.create t.n in
-  iter_edges (fun u v -> ignore (Bcclb_ufind.Ufind.union uf u v)) t;
-  uf
 
 let components_of_edges ~n edges =
   let c = Conn.create n in

@@ -35,25 +35,15 @@ val iter_edges : (int -> int -> unit) -> t -> unit
 (** Visit each edge once, (u, v) with u < v, lexicographic order,
     without materialising a list. *)
 
-val union_find : t -> Union_find.t
-(** Disjoint-set structure of the graph's components (the sequential
-    parity oracle; {!components} and friends run on the lock-free
-    {!Bcclb_ufind.Ufind} unless [BCCLB_CONN_ORACLE=dsu]). *)
-
-val ufind : t -> Bcclb_ufind.Ufind.t
-(** Lock-free component structure of the graph — the shared-memory form
-    the serve daemon and bulk component calls build once and query
-    concurrently. *)
-
 val components_of_edges : n:int -> (int * int) array -> int array
 (** Bulk entry point for the Borůvka-family hot loops: canonical
     component labels (smallest member) of the graph with the given edges,
-    without constructing a {!t}. Dispatches on the same oracle switch as
-    {!components}; both paths canonicalise identically, so downstream
-    reports are byte-identical either way. *)
+    without constructing a {!t}. Runs on the same {!Conn} oracle as
+    {!components}. *)
 
 val components : t -> int array
-(** Canonical component labels (smallest vertex in each component). *)
+(** Canonical component labels (smallest vertex in each component),
+    computed by the {!Conn} oracle. *)
 
 val num_components : t -> int
 

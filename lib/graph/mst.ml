@@ -11,8 +11,8 @@ let kruskal g ~weight =
       let c = Int.compare (weight u1 v1) (weight u2 v2) in
       if c <> 0 then c else compare (u1, v1) (u2, v2))
     sorted;
-  let uf = Union_find.create (Graph.n g) in
-  List.filter (fun (u, v) -> Union_find.union uf u v) (Array.to_list sorted)
+  let uf = Conn.create (Graph.n g) in
+  List.filter (fun (u, v) -> Conn.union uf u v) (Array.to_list sorted)
 
 let total_weight ~weight edges = List.fold_left (fun acc (u, v) -> acc + weight u v) 0 edges
 
@@ -20,9 +20,9 @@ let is_spanning_forest g edges =
   (* Same number of edges as a spanning forest and acyclic and within the
      graph: then it spans every component. *)
   let n = Graph.n g in
-  let uf = Union_find.create n in
-  let acyclic = List.for_all (fun (u, v) -> Graph.mem_edge g u v && Union_find.union uf u v) edges in
-  acyclic && Union_find.components uf = Graph.num_components g
+  let uf = Conn.create n in
+  let acyclic = List.for_all (fun (u, v) -> Graph.mem_edge g u v && Conn.union uf u v) edges in
+  acyclic && Conn.components uf = Graph.num_components g
 
 (* A canonical injective weight function on ID pairs: the bijective
    scramble of the base-2^L pair encoding guarantees DISTINCT weights, so

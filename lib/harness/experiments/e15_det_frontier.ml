@@ -144,7 +144,7 @@ let det_frontier =
             | 1 -> Gen.random_bounded_degree rng n 4
             | _ -> Gen.gnp rng n (1.2 /. float_of_int n)
           in
-          (* Ground truth from the Conn (lock-free ufind) oracle, not
+          (* Ground truth from the Conn oracle, not
              from any algorithm under test. *)
           let uf = Bcclb_graph.Conn.create n in
           Graph.iter_edges (fun u v -> ignore (Bcclb_graph.Conn.union uf u v)) g;

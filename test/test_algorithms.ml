@@ -344,7 +344,7 @@ let test_chunked_bandwidth_variants () =
     (Invalid_argument "adjacency-matrix-connectivity: bandwidth 63 outside [1, 62]") (fun () ->
       ignore (Adjacency_matrix.connectivity ~bandwidth:63 ()))
 
-(* Ground truth for the MT tests via the Conn (lock-free ufind) oracle,
+(* Ground truth for the MT tests via the Conn oracle,
    as the acceptance criteria demand — not via the algorithm under test. *)
 let oracle_connected g =
   let uf = Bcclb_graph.Conn.create (G.n g) in

@@ -207,12 +207,11 @@ let test_msg_direction_tags () =
   | Ok Msg.Heartbeat -> ()
   | _ -> Alcotest.fail "from_worker round-trip"
 
-(* Trace plumbing over the wire: the context embedded in a Lease, the
-   span shipment riding a Lease_done, and the Traced query wrapper all
-   survive frame + Marshal round-trips bit-for-bit. *)
+(* Trace plumbing over the wire: the context embedded in a Lease and the
+   span shipment riding a Lease_done both survive frame + Marshal
+   round-trips bit-for-bit. *)
 let test_trace_context_wire_roundtrip () =
   let module Trace = Bcclb_obs.Trace in
-  let module Qmsg = Bcclb_dist.Qmsg in
   let ctx = { Trace.trace_id = "0123abcd"; parent_span = (42 lsl 32) lor 7 } in
   let lease =
     Msg.Lease
@@ -248,16 +247,55 @@ let test_trace_context_wire_roundtrip () =
       depth = 0;
     }
   in
-  (match Msg.of_payload_from_worker (Msg.from_worker_payload (Msg.Lease_done { metrics = []; spans = [ ev ] })) with
+  match Msg.of_payload_from_worker (Msg.from_worker_payload (Msg.Lease_done { metrics = []; spans = [ ev ] })) with
   | Ok (Msg.Lease_done { spans = [ got ]; _ }) ->
     Alcotest.(check bool) "shipped span survives verbatim" true (got = ev)
   | Ok _ -> Alcotest.fail "lease_done decoded to something else"
-  | Error e -> Alcotest.failf "lease_done round-trip: %s" e);
-  match Qmsg.request_of_payload (Qmsg.request_payload (Qmsg.Traced (ctx, Qmsg.Connected (1, 2)))) with
-  | Ok (Qmsg.Traced (got, Qmsg.Connected (1, 2))) ->
-    Alcotest.(check string) "query trace id survives" ctx.Trace.trace_id got.Trace.trace_id
-  | Ok _ -> Alcotest.fail "traced query decoded to something else"
-  | Error e -> Alcotest.failf "traced query round-trip: %s" e
+  | Error e -> Alcotest.failf "lease_done round-trip: %s" e
+
+(* The OpenMetrics endpoint, scraped over a real socket: a live counter
+   is visible, the body passes the strict Expo lint, and the endpoint
+   counts its own scrapes. *)
+let test_metrics_endpoint () =
+  let module Expose = Bcclb_dist.Expose in
+  let module Expo = Bcclb_obs.Expo in
+  with_dir @@ fun dir ->
+  let path = Filename.concat dir "metrics.sock" in
+  match Expose.start ~address:(Addr.Unix_socket path) () with
+  | Error e -> Alcotest.fail e
+  | Ok ep ->
+    Fun.protect ~finally:(fun () -> Expose.stop ep) @@ fun () ->
+    let counter = Obs.Metrics.Counter.v "test.expose.pings" in
+    Obs.Metrics.Counter.add counter 3;
+    let body =
+      match Expose.scrape (Expose.address ep) with
+      | Ok b -> b
+      | Error e -> Alcotest.fail e
+    in
+    let samples =
+      match Expo.parse body with
+      | Ok s -> s
+      | Error e -> Alcotest.failf "scrape does not lint: %s" e
+    in
+    (match
+       List.find_opt (fun s -> s.Expo.name = "bcclb_test_expose_pings_total") samples
+     with
+    | Some s -> Alcotest.(check (float 0.0)) "live counter visible" 3.0 s.Expo.value
+    | None -> Alcotest.fail "test counter missing from scrape");
+    (* A second scrape sees the first one counted. *)
+    (match Expose.scrape (Expose.address ep) with
+    | Error e -> Alcotest.fail e
+    | Ok body2 -> (
+      match
+        Result.map
+          (List.find_opt (fun s -> s.Expo.name = "bcclb_obs_scrapes_total"))
+          (Expo.parse body2)
+      with
+      | Ok (Some s) ->
+        Alcotest.(check bool) "scrape counter advanced" true (s.Expo.value >= 1.0)
+      | _ -> Alcotest.fail "obs.scrapes missing from scrape"));
+    Expose.stop ep;
+    Alcotest.(check bool) "endpoint socket unlinked after stop" false (Sys.file_exists path)
 
 let test_faults_spec () =
   let f = Result.get_ok (Faults.parse "crash:2, stall:5") in
@@ -501,6 +539,7 @@ let suites =
     Alcotest.test_case "msg payloads carry direction tags" `Quick test_msg_direction_tags;
     Alcotest.test_case "trace contexts and span shipments survive the wire" `Quick
       test_trace_context_wire_roundtrip;
+    Alcotest.test_case "metrics endpoint scrapes and lints" `Quick test_metrics_endpoint;
     Alcotest.test_case "fault specs parse and are one-shot" `Quick test_faults_spec;
     Alcotest.test_case "addresses: IPv6 brackets, bad forms, rosters" `Quick test_addr_forms;
     Alcotest.test_case "handshake accepts self, names skews" `Quick test_handshake_check;

@@ -3,16 +3,41 @@ module Rng = Bcclb_util.Rng
 module Ggen = Gen
 
 let test_union_find () =
-  let uf = Union_find.create 6 in
-  Alcotest.(check int) "initial components" 6 (Union_find.components uf);
-  Alcotest.(check bool) "union works" true (Union_find.union uf 0 1);
-  Alcotest.(check bool) "redundant union" false (Union_find.union uf 1 0);
-  ignore (Union_find.union uf 2 3);
-  ignore (Union_find.union uf 1 2);
-  Alcotest.(check int) "components" 3 (Union_find.components uf);
-  Alcotest.(check bool) "same" true (Union_find.same uf 0 3);
-  Alcotest.(check bool) "not same" false (Union_find.same uf 0 4);
-  Alcotest.(check (array int)) "labels" [| 0; 0; 0; 0; 4; 5 |] (Union_find.labels uf)
+  let uf = Conn.create 6 in
+  Alcotest.(check int) "size" 6 (Conn.size uf);
+  Alcotest.(check int) "initial components" 6 (Conn.components uf);
+  Alcotest.(check bool) "union works" true (Conn.union uf 0 1);
+  Alcotest.(check bool) "redundant union" false (Conn.union uf 1 0);
+  Alcotest.(check bool) "self union never merges" false (Conn.union uf 4 4);
+  ignore (Conn.union uf 2 3);
+  ignore (Conn.union uf 1 2);
+  Alcotest.(check int) "components" 3 (Conn.components uf);
+  Alcotest.(check bool) "same" true (Conn.same uf 0 3);
+  Alcotest.(check bool) "not same" false (Conn.same uf 0 4);
+  Alcotest.(check (array int)) "labels" [| 0; 0; 0; 0; 4; 5 |] (Conn.labels uf);
+  Alcotest.check_raises "negative size" (Invalid_argument "Conn.create: negative size")
+    (fun () -> ignore (Conn.create (-1)))
+
+(* The root rule is part of Conn's contract (callers key hash tables by
+   [find]): equal ranks join under the smaller index, otherwise the
+   higher rank wins whatever the indices. *)
+let test_conn_root_rule () =
+  let uf = Conn.create 8 in
+  let root what expect v = Alcotest.(check int) what expect (Conn.find uf v) in
+  ignore (Conn.union uf 5 3);
+  root "equal ranks: 5 joins under 3" 3 5;
+  root "3 stays the root" 3 3;
+  ignore (Conn.union uf 7 6);
+  root "equal ranks: 7 joins under 6" 6 7;
+  ignore (Conn.union uf 0 6);
+  root "rank-1 root 6 outranks index 0" 6 0;
+  ignore (Conn.union uf 6 1);
+  root "argument order does not matter" 6 1;
+  ignore (Conn.union uf 6 3);
+  root "equal rank 1: 6 joins under 3" 3 6;
+  ignore (Conn.union uf 2 7);
+  root "rank-2 root 3 outranks index 2" 3 2;
+  root "whole set under 3" 3 0
 
 let test_graph_basics () =
   let g = Graph.of_edges ~n:5 [ (0, 1); (1, 2); (1, 0); (2, 0) ] in
@@ -139,6 +164,7 @@ let brute_force_matching ~nl ~nr ~adj =
 
 let suites =
   [ Alcotest.test_case "union find" `Quick test_union_find;
+    Alcotest.test_case "conn root rule" `Quick test_conn_root_rule;
     Alcotest.test_case "graph basics" `Quick test_graph_basics;
     Alcotest.test_case "graph invalid" `Quick test_graph_invalid;
     Alcotest.test_case "cycles canonical" `Quick test_cycles_canonical;
@@ -148,9 +174,55 @@ let suites =
     Alcotest.test_case "k-matching" `Quick test_k_matching;
     Alcotest.test_case "generators" `Quick test_generators ]
 
+(* Naive smallest-member labelling of (n, edges) by breadth-first
+   search from each vertex in increasing order. *)
+let bfs_labels ~n edges =
+  let adj = Array.make n [] in
+  List.iter
+    (fun (u, v) ->
+      adj.(u) <- v :: adj.(u);
+      adj.(v) <- u :: adj.(v))
+    edges;
+  let label = Array.make n (-1) in
+  for s = 0 to n - 1 do
+    if label.(s) < 0 then begin
+      let queue = Queue.create () in
+      label.(s) <- s;
+      Queue.add s queue;
+      while not (Queue.is_empty queue) do
+        List.iter
+          (fun w ->
+            if label.(w) < 0 then begin
+              label.(w) <- s;
+              Queue.add w queue
+            end)
+          adj.(Queue.pop queue)
+      done
+    end
+  done;
+  label
+
+let num_distinct labels = List.length (List.sort_uniq Int.compare (Array.to_list labels))
+
 let qsuites =
   let open QCheck2 in
-  [ Test.make ~name:"components match union-find transitivity" ~count:200
+  [ Test.make ~name:"Conn agrees with BFS labelling on any edge list" ~count:300
+      Gen.(
+        1 -- 24 >>= fun n ->
+        pair (return n) (list_size (0 -- 40) (pair (0 -- (n - 1)) (0 -- (n - 1)))))
+      (fun (n, edges) ->
+        let uf = Conn.create n in
+        let verdicts_ok, _ =
+          List.fold_left
+            (fun (ok, prefix) (u, v) ->
+              let before = bfs_labels ~n prefix in
+              let merged = Conn.union uf u v in
+              (ok && merged = (before.(u) <> before.(v)), (u, v) :: prefix))
+            (true, []) edges
+        in
+        let expect = bfs_labels ~n edges in
+        verdicts_ok && Conn.labels uf = expect && Conn.components uf = num_distinct expect);
+    Test.make ~name:"components match union-find transitivity" ~count:200
       Gen.(pair (3 -- 15) (0 -- 100))
       (fun (n, seed) ->
         let rng = Rng.create ~seed in

@@ -34,6 +34,4 @@ let () =
       ("harness", Test_harness.suites @ q Test_harness.qsuites);
       ("obs", Test_obs.suites @ q Test_obs.qsuites);
       ("dist", Test_dist.suites @ q Test_dist.qsuites);
-      ("ufind", Test_ufind.suites @ q Test_ufind.qsuites);
-      ("serve", Test_serve.suites @ q Test_serve.qsuites);
       ("orbit", Test_orbit.suites @ q Test_orbit.qsuites) ]
