@@ -17,25 +17,26 @@ type state = {
   l : int;
   d : int;
   inboxes : Msg.t array list;  (* newest first *)
+  own_ids : int list;
+      (* IDs of this vertex's input-graph neighbours, in input-port order.
+         In KT-1 they are initial knowledge; in KT-0 they are decoded once,
+         at round l+1, from the first L broadcasts heard on input ports,
+         and are [] before that. *)
 }
 
-(* IDs of this vertex's input-graph neighbours, ascending. In KT-1 they
-   are initial knowledge; in KT-0 they are decoded from the first L
-   broadcasts heard on input ports (available from round l+1 on). *)
-let own_neighbor_ids st =
-  match View.kt1 st.view with
-  | Some _ -> List.map (fun p -> View.neighbor_id st.view p) (View.input_ports st.view)
-  | None ->
-    let seqs =
-      Codec.broadcast_sequences ~num_ports:(View.num_ports st.view) ~inboxes:(List.rev st.inboxes)
-    in
-    List.filter_map
-      (fun p ->
-        let v, complete = Codec.decode_int ~first:1 ~width:st.l seqs.(p) in
-        if complete then Some v else None)
-      (View.input_ports st.view)
-
 let phase1_rounds st = match View.kt1 st.view with Some _ -> 0 | None -> st.l
+
+(* KT-0: decode the neighbour IDs from the first L broadcasts heard on
+   input ports, complete from round l+1 on. *)
+let decode_own_ids st =
+  let seqs =
+    Codec.broadcast_sequences ~num_ports:(View.num_ports st.view) ~inboxes:(List.rev st.inboxes)
+  in
+  List.filter_map
+    (fun p ->
+      let v, complete = Codec.decode_int ~first:1 ~width:st.l seqs.(p) in
+      if complete then Some v else None)
+    (View.input_ports st.view)
 
 let schedule st ~round =
   let p1 = phase1_rounds st in
@@ -45,7 +46,7 @@ let schedule st ~round =
   else begin
     let r = round - p1 - 1 in
     let block = r / st.l and pos = r mod st.l in
-    let nbrs = List.sort Int.compare (own_neighbor_ids st) in
+    let nbrs = List.sort Int.compare st.own_ids in
     let value = match List.nth_opt nbrs block with Some id -> id | None -> 0 in
     Codec.msg_of_bit (Codec.bit_of_int ~width:st.l ~pos value)
   end
@@ -60,10 +61,8 @@ let decode_graph st ~final_inbox =
   let edges = ref [] in
   (* Own adjacency: in KT-0 it is only known once phase 1 decoded. *)
   let own = View.id st.view in
-  List.iter (fun nbr -> edges := (own, nbr) :: !edges) (own_neighbor_ids st);
-  (match View.kt1 st.view with
-  | Some _ -> ()
-  | None -> if List.length (own_neighbor_ids st) < View.degree st.view then complete := false);
+  List.iter (fun nbr -> edges := (own, nbr) :: !edges) st.own_ids;
+  if List.length st.own_ids < View.degree st.view then complete := false;
   for p = 0 to View.num_ports st.view - 1 do
     let sender_id =
       match View.kt1 st.view with
@@ -117,10 +116,19 @@ let make ~knowledge ~max_degree ~name ~on_incomplete () =
     (match (knowledge, View.kt1 view) with
     | Instance.KT1, None -> invalid_arg (name ^ ": needs a KT-1 instance")
     | _ -> ());
-    { view; l = Codec.id_width ~n:(View.n view); d = max_degree; inboxes = [] }
+    let own_ids =
+      match View.kt1 view with
+      | Some _ -> List.map (View.neighbor_id view) (View.input_ports view)
+      | None -> []
+    in
+    { view; l = Codec.id_width ~n:(View.n view); d = max_degree; inboxes = []; own_ids }
   in
   let step st ~round ~inbox =
     let st = { st with inboxes = inbox :: st.inboxes } in
+    let st =
+      if Option.is_none (View.kt1 st.view) && round = st.l + 1 then { st with own_ids = decode_own_ids st }
+      else st
+    in
     (st, schedule st ~round)
   in
   let finish st ~inbox =

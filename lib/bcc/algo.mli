@@ -5,7 +5,15 @@
     Round semantics follow §1.2: in round r a vertex receives the round
     r−1 broadcasts ([inbox], indexed by port), computes, and broadcasts a
     message of at most [bandwidth ~n] bits; outputs are produced by
-    [finish], which receives the final round's broadcasts. *)
+    [finish], which receives the final round's broadcasts.
+
+    States are threaded linearly. Every driver — the engine, {!Split},
+    [Kt0_compiler], [Rcc_algo] and [Transcript_scheme] — passes the state
+    returned by [init] or [step] to exactly one later [step] or [finish]
+    call and never reuses an older one. A state may therefore be updated
+    in place and returned as is, as [Adjacency_broadcast],
+    [Mt_connectivity] and [Hashed_discovery] do; a new driver must keep
+    this contract. *)
 
 type ('s, 'o) t = {
   name : string;

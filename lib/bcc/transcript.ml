@@ -1,21 +1,27 @@
 module Bits = Bcclb_util.Bits
 
 (* A transcript keeps the per-round message structure for callers that
-   inspect it, plus a packed twin computed once at [make]: every message
-   of the sent-then-received traffic is encoded as a 6-bit width followed
-   by its value bits. The encoding is a prefix code, so two transcripts
-   with the same dimensions are equal iff their packed twins are equal —
-   one bytewise Bits.Seq compare instead of O(rounds * ports) message
+   inspect it, plus a packed twin built on first use: every message of
+   the sent-then-received traffic is encoded as a 6-bit width followed by
+   its value bits. The encoding is a prefix code, so two transcripts with
+   the same dimensions are equal iff their packed twins are equal — one
+   bytewise Bits.Seq compare instead of O(rounds * ports) message
    compares. For BCC(1) traffic the broadcast sequence additionally packs
    into 2 bits per round ([sent_code]), the representation the §3 label
-   machinery compares and hashes. *)
+   machinery compares and hashes.
+
+   Most runs never compare or label their transcripts, so both encodings
+   are built lazily and cached in mutable fields. Not [Lazy.t]: forcing
+   one lazy from two domains at once raises. Two domains filling the
+   same field race benignly — each builds an equal encoding from the
+   immutable traffic and either store may win. *)
 
 type t = {
   fingerprint : string;
   sent : Msg.t array;
   received : Msg.t array array;
-  packed : Bits.Seq.seq;
-  sent_code : Bits.Seq.seq option;  (* 2 bits/round; None if a message is wider than 1 bit *)
+  mutable packed : Bits.Seq.seq option;
+  mutable sent_code : Bits.Seq.seq option;
 }
 
 let pack_msg seq m =
@@ -26,22 +32,20 @@ let pack_msg seq m =
     Bits.Seq.append seq b
 
 let make ~fingerprint ~sent ~received =
-  let rounds = Array.length sent in
-  let ports = if rounds = 0 then 0 else Array.length received.(0) in
-  let packed = Bits.Seq.create ~capacity:(8 * rounds * (ports + 1)) () in
-  Array.iter (fun m -> pack_msg packed m) sent;
-  Array.iter (fun row -> Array.iter (fun m -> pack_msg packed m) row) received;
-  let sent_code =
-    if Array.for_all (fun m -> Msg.width m <= 1) sent then begin
-      let code = Bits.Seq.create ~capacity:(2 * rounds) () in
-      Array.iter (fun m -> Bits.Seq.append_word code ~width:2 ~value:(Msg.code1 m)) sent;
-      Some code
-    end
-    else None
-  in
-  { fingerprint; sent; received; packed; sent_code }
+  { fingerprint; sent; received; packed = None; sent_code = None }
 
 let rounds t = Array.length t.sent
+
+let packed t =
+  match t.packed with
+  | Some p -> p
+  | None ->
+    let ports = if Array.length t.received = 0 then 0 else Array.length t.received.(0) in
+    let p = Bits.Seq.create ~capacity:(8 * rounds t * (ports + 1)) () in
+    Array.iter (fun m -> pack_msg p m) t.sent;
+    Array.iter (fun row -> Array.iter (fun m -> pack_msg p m) row) t.received;
+    t.packed <- Some p;
+    p
 
 let fingerprint t = t.fingerprint
 
@@ -58,7 +62,13 @@ let sent_sequence t = Array.copy t.sent
 let sent_code t =
   match t.sent_code with
   | Some c -> c
-  | None -> invalid_arg "Transcript.sent_code: a message is wider than 1 bit"
+  | None ->
+    if not (Array.for_all (fun m -> Msg.width m <= 1) t.sent) then
+      invalid_arg "Transcript.sent_code: a message is wider than 1 bit";
+    let code = Bits.Seq.create ~capacity:(2 * rounds t) () in
+    Array.iter (fun m -> Bits.Seq.append_word code ~width:2 ~value:(Msg.code1 m)) t.sent;
+    t.sent_code <- Some code;
+    code
 
 (* Thin view over the packed code: decode 2-bit codes back to chars. *)
 let sent_string t =
@@ -72,7 +82,7 @@ let equal a b =
   && Array.length a.received = Array.length b.received
   && (Array.length a.received = 0
      || Array.length a.received.(0) = Array.length b.received.(0))
-  && Bits.Seq.equal a.packed b.packed
+  && Bits.Seq.equal (packed a) (packed b)
 
 let bits_broadcast t = Array.fold_left (fun acc m -> acc + Msg.width m) 0 t.sent
 

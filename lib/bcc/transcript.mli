@@ -25,9 +25,11 @@ val sent_sequence : t -> Msg.t array
 
 val sent_code : t -> Bcclb_util.Bits.Seq.seq
 (** The BCC(1) broadcast sequence packed 2 bits per round
-    ({!Msg.code1} codes), computed once at {!make} — the representation
-    the §3 label machinery compares and hashes. Do not mutate.
-    @raise Invalid_argument if some message is wider than 1 bit. *)
+    ({!Msg.code1} codes), computed on first use and cached: repeated
+    calls return the same sequence — the representation the §3 label
+    machinery compares and hashes. Do not mutate.
+    @raise Invalid_argument if some message is wider than 1 bit; only
+    this call and {!sent_string} refuse such a transcript. *)
 
 val sent_string : t -> string
 (** BCC(1) broadcast sequence over the alphabet {'0','1','_'} — the
@@ -37,7 +39,8 @@ val sent_string : t -> string
 
 val equal : t -> t -> bool
 (** Same initial knowledge and identical per-round, per-port traffic.
-    Compares the packed encodings: O(traffic bits / 8), not per-message. *)
+    Compares the packed encodings, built on first use and cached:
+    O(traffic bits / 8), not per-message. *)
 
 val bits_broadcast : t -> int
 (** Total bits this vertex broadcast (silence counts 0). *)

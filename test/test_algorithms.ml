@@ -536,9 +536,39 @@ let suites =
     Alcotest.test_case "trivial baselines" `Quick test_trivial;
     Alcotest.test_case "measure decision error" `Quick test_measure_decision_error ]
 
+(* Hashed_discovery against its history-decoding reference: the same
+   outputs and, vertex by vertex, equal transcripts — at the full 3k
+   rounds (cut > 3k) and truncated anywhere in 0..3k, where fields are
+   partly heard. *)
+let hashed_parity (n, k, coin, two, cut) =
+  let rng = Rng.create ~seed:(coin + (1000 * n) + k) in
+  let g = if two && n >= 6 then Ggen.random_two_cycles rng n else Ggen.random_cycle rng n in
+  let inst = Instance.kt0_circulant g in
+  let truncate (Algo.Packed a) =
+    if cut > 3 * k then Algo.Packed a else Algo.Packed (Algo.truncate ~rounds:cut a)
+  in
+  let r = Simulator.run ~seed:coin (truncate (Hashed_discovery.connectivity ~k)) inst in
+  let r' = Simulator.run ~seed:coin (truncate (Hashed_reference.connectivity ~k)) inst in
+  r.Simulator.outputs = r'.Simulator.outputs
+  && Array.for_all2 Transcript.equal r.Simulator.transcripts r'.Simulator.transcripts
+
 let qsuites =
   let open QCheck2 in
-  [ Test.make ~name:"discovery agrees with ground truth on multicycles" ~count:60
+  let hashed_case ns ks =
+    Gen.(
+      let* n = ns and* k = ks in
+      let* coin = 0 -- 100000 and* two = bool and* cut = 0 -- (4 * k) in
+      pure (n, k, coin, two, cut))
+  in
+  let print = Print.(tup5 int int int bool int) in
+  [ Test.make ~name:"hashed discovery matches its history-decoding reference" ~count:200 ~print
+      (hashed_case Gen.(4 -- 32) Gen.(1 -- 12))
+      hashed_parity;
+    (* The reference scans 2^20 buckets per vertex at k = 20: few, small cases. *)
+    Test.make ~name:"hashed discovery matches its reference at k = 20" ~count:4 ~print
+      (hashed_case Gen.(4 -- 12) (Gen.pure 20))
+      hashed_parity;
+    Test.make ~name:"discovery agrees with ground truth on multicycles" ~count:60
       Gen.(pair (6 -- 20) (0 -- 100000))
       (fun (n, seed) ->
         let rng = Rng.create ~seed in

@@ -206,6 +206,61 @@ let test_packed_sent_code () =
     done
   done
 
+(* The packed encodings are built on first use and cached: a repeated
+   sent_code is the same physical sequence, and forcing either encoding
+   first never changes an [equal] verdict. *)
+let test_transcript_cache () =
+  let algo = Bcclb_algorithms.Discovery.connectivity ~knowledge:Instance.KT0 ~max_degree:2 in
+  let inst = Instance.kt0_circulant (Gen.cycle 8) in
+  let crossed = Instance.cross inst (0, 1) (4, 5) in
+  let fresh () = (Simulator.run algo inst, Simulator.run algo crossed) in
+  let t = (fst (fresh ())).Simulator.transcripts.(0) in
+  Alcotest.(check bool) "sent_code cached" true (Transcript.sent_code t == Transcript.sent_code t);
+  let a, b = fresh () in
+  let verdicts = Array.init 8 (fun v -> Transcript.equal a.Simulator.transcripts.(v) b.Simulator.transcripts.(v)) in
+  Alcotest.(check bool) "some pair differs" true (Array.exists not verdicts);
+  let a', b' = fresh () in
+  Array.iteri
+    (fun v expect ->
+      let ta = a'.Simulator.transcripts.(v) and tb = b'.Simulator.transcripts.(v) in
+      if v mod 2 = 0 then ignore (Transcript.sent_code ta) else ignore (Transcript.sent_string tb);
+      Alcotest.(check bool) "verdict after forcing" expect (Transcript.equal ta tb);
+      Alcotest.(check bool) "forced = unforced" true (Transcript.equal ta a.Simulator.transcripts.(v)))
+    verdicts
+
+(* Only the 2-bit code needs 1-bit messages: a wider transcript is built
+   and compared, and refuses at sent_code. *)
+let test_transcript_wide_message () =
+  let wide () =
+    Transcript.make ~fingerprint:"fp" ~sent:[| Msg.one; Msg.of_int ~width:2 3 |]
+      ~received:[| [| Msg.silent |]; [| Msg.zero |] |]
+  in
+  let t = wide () in
+  Alcotest.(check bool) "wide transcripts compare" true (Transcript.equal t (wide ()));
+  Alcotest.check_raises "sent_code refuses"
+    (Invalid_argument "Transcript.sent_code: a message is wider than 1 bit") (fun () ->
+      ignore (Transcript.sent_code t));
+  Alcotest.(check bool) "still equal after refusal" true (Transcript.equal (wide ()) t)
+
+(* A transcript made on one domain and compared on another: the cached
+   encodings must not be tied to the domain that built the record. *)
+let test_transcript_across_domains () =
+  let algo = Bcclb_algorithms.Trivial.chatter ~rounds:5 () in
+  let inst = Instance.kt0_circulant (Gen.cycle 8) in
+  let made = Domain.join (Domain.spawn (fun () -> Simulator.run algo inst)) in
+  let here = Simulator.run algo inst in
+  let compared =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Array.for_all2 Transcript.equal made.Simulator.transcripts here.Simulator.transcripts
+           && Array.for_all2
+                (fun a b -> String.equal (Transcript.sent_string a) (Transcript.sent_string b))
+                made.Simulator.transcripts here.Simulator.transcripts))
+  in
+  Alcotest.(check bool) "equal on another domain" true compared;
+  Alcotest.(check bool) "equal back home" true
+    (Array.for_all2 Transcript.equal here.Simulator.transcripts made.Simulator.transcripts)
+
 (* run_sent_codes must agree with the full simulator's transcripts. *)
 let test_run_sent_codes () =
   let algo = Bcclb_algorithms.Trivial.chatter ~rounds:5 () in
@@ -349,6 +404,9 @@ let suites =
     Alcotest.test_case "message delivery" `Quick test_simulator_delivery;
     Alcotest.test_case "transcripts" `Quick test_transcripts;
     Alcotest.test_case "packed sent_code parity" `Quick test_packed_sent_code;
+    Alcotest.test_case "transcript cache" `Quick test_transcript_cache;
+    Alcotest.test_case "transcript wide message" `Quick test_transcript_wide_message;
+    Alcotest.test_case "transcript across domains" `Quick test_transcript_across_domains;
     Alcotest.test_case "run_sent_codes = transcripts" `Quick test_run_sent_codes;
     Alcotest.test_case "indistinguishable_from" `Quick test_indistinguishable_from;
     Alcotest.test_case "split compiler: boruvka" `Quick test_split_compiler_boruvka;
