@@ -7,10 +7,37 @@ open Bcclb_graph
    round p+1 exactly as before). After ⌈(n−1)/b⌉ rounds everyone holds
    the full adjacency matrix (sender identity is known per port, and the
    sender's port ordering is the shared ID order), so any graph problem
-   is solved locally. Θ(n/b) rounds regardless of density — the generic
-   upper bound that the O(log n) sparse algorithms beat. *)
+   is solved locally. That matrix is public, so its reconstruction runs
+   once per run and is shared by every vertex that heard the same rows
+   ({!Chunked.shared}); only the answer is per vertex. Θ(n/b) rounds
+   regardless of density — the generic upper bound that the O(log n)
+   sparse algorithms beat. *)
 
-type state = { view : View.t; own_bits : string; heard : Buffer.t array }
+type state = { view : View.t; own_bits : string; heard : Bcclb_util.Bits.Seq.seq array }
+
+(* The reconstruction's whole input: every row by sender index. *)
+type key = { n : int; bandwidth : int; rows : Bcclb_util.Bits.Seq.seq array }
+
+let memo : (key, Graph.t) Chunked.memo = Chunked.memo ()
+
+let same_key a b = a.n = b.n && a.bandwidth = b.bandwidth && Chunked.same_payloads a.rows b.rows
+
+(* Row q of the sender at index s names the vertex with the (q+1)-th
+   smallest ID among the others: the port order of a KT-1 wiring, ours
+   included. *)
+let reconstruct key =
+  let edges = ref [] in
+  Array.iteri
+    (fun sender row ->
+      let row = Chunked.to_bits row in
+      for q = 0 to key.n - 2 do
+        if row.[q] = '1' then begin
+          let other = if q >= sender then q + 1 else q in
+          edges := (sender, other) :: !edges
+        end
+      done)
+    key.rows;
+  Graph.of_edges ~n:key.n !edges
 
 let make ~name ?(bandwidth = 1) ~finish_of_graph () =
   Chunked.check_bandwidth name bandwidth;
@@ -22,44 +49,18 @@ let make ~name ?(bandwidth = 1) ~finish_of_graph () =
       let ports = View.num_ports view in
       { view;
         own_bits = String.init ports (fun p -> if View.is_input_port view p then '1' else '0');
-        heard = Array.init ports (fun _ -> Buffer.create ports) }
+        heard = Chunked.accumulators ~ports ~bits:ports }
   in
   let step st ~round ~inbox =
     if round >= 2 then Chunked.absorb ~into:st.heard inbox;
     (st, Chunked.emit ~bits:st.own_bits ~bandwidth ~chunk:(round - 1))
   in
-  let reconstruct st ~inbox =
-    let n = View.n st.view in
+  let finish st ~inbox =
     Chunked.absorb ~into:st.heard inbox;
-    (* Sender behind port p has some ID; its port q leads to the vertex
-       with the (q+1)-th smallest ID among the others. Build the graph on
-       the shared ID order. *)
-    let ids = View.all_ids st.view in
-    let index = Hashtbl.create n in
-    Array.iteri (fun i id -> Hashtbl.add index id i) ids;
-    let edges = ref [] in
-    (* Own row first. *)
-    let own = Hashtbl.find index (View.id st.view) in
-    for p = 0 to n - 2 do
-      if View.is_input_port st.view p then begin
-        let nbr = Hashtbl.find index (View.neighbor_id st.view p) in
-        edges := (own, nbr) :: !edges
-      end
-    done;
-    for p = 0 to n - 2 do
-      let sender = Hashtbl.find index (View.neighbor_id st.view p) in
-      let row = Buffer.contents st.heard.(p) in
-      (* The sender's port q skips itself in the sorted ID order. *)
-      for q = 0 to n - 2 do
-        if row.[q] = '1' then begin
-          let other = if q >= sender then q + 1 else q in
-          edges := (sender, other) :: !edges
-        end
-      done
-    done;
-    Graph.of_edges ~n !edges
+    let own = Chunked.of_bits st.own_bits in
+    let key = { n = View.n st.view; bandwidth; rows = Chunked.payloads st.view ~own st.heard } in
+    finish_of_graph st (Chunked.shared memo ~equal:same_key key (fun () -> reconstruct key))
   in
-  let finish st ~inbox = finish_of_graph st (reconstruct st ~inbox) in
   { Algo.name;
     anonymous = false;
     bandwidth = (fun ~n:_ -> bandwidth);
@@ -78,9 +79,6 @@ let components ?bandwidth () =
   Algo.pack
     (make ~name:"adjacency-matrix-components" ?bandwidth
        ~finish_of_graph:(fun st g ->
-         let ids = View.all_ids st.view in
-         let index = Hashtbl.create (View.n st.view) in
-         Array.iteri (fun i id -> Hashtbl.add index id i) ids;
          let labels = Graph.components g in
-         ids.(labels.(Hashtbl.find index (View.id st.view))))
+         (View.all_ids st.view).(labels.(Chunked.index_of_id st.view (View.id st.view))))
        ())

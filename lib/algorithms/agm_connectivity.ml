@@ -1,6 +1,7 @@
 open Bcclb_bcc
 open Bcclb_graph
 open Bcclb_sketch
+module Seq = Bcclb_util.Bits.Seq
 
 (* Connectivity for ARBITRARY graphs in BCC(1) in O(log^3 n) rounds, via
    public-coin AGM linear sketches: the "CONNECTIVITY can be solved in
@@ -12,13 +13,16 @@ open Bcclb_sketch
    over the edge-id universe, toggles its incident edges into its own
    copies, and broadcasts their serialisation bit by bit. Broadcasts
    reach everyone, so after O(phases * copies * log^2 n) = O(log^3 n)
-   rounds every vertex holds every vertex's sketches and runs the SAME
-   local Boruvka: per phase, a component's sketch is the XOR of its
-   members' (internal edges cancel), and sampling it yields an outgoing
-   edge. Monte Carlo: sampling can fail (extra phases retry with fresh
-   randomness) and checksum collisions can fabricate edges (mitigated by
-   check bits and an endpoint sanity test); errors are rare and measured
-   in the tests and experiment E14. *)
+   rounds every vertex holds every vertex's sketches. Those are public, so
+   decoding the n sketch families and the local Boruvka run once per run
+   and are shared by every vertex whose decode input equals the
+   decoder's ({!Chunked.shared}); only the output is per vertex. Per
+   phase, a component's sketch is the XOR of its members' (internal
+   edges cancel), and sampling it yields an outgoing edge. Monte Carlo:
+   sampling can fail (extra phases retry with fresh randomness) and
+   checksum collisions can fabricate edges (mitigated by check bits and
+   an endpoint sanity test); errors are rare and measured in the tests
+   and experiment E14. *)
 
 type params = { copies : int; check_bits : int; phases : int }
 
@@ -32,30 +36,37 @@ type state = {
   params : params;
   specs : L0_sampler.hash_spec array;  (* phases * copies, row-major *)
   own_bits : string;  (* serialisation of our samplers *)
-  heard : Buffer.t array;  (* accumulated bits per port *)
+  heard : Seq.seq array;  (* accumulated bits per port *)
 }
 
-let index_of_id all_ids id =
-  let rec go lo hi =
-    if lo >= hi then invalid_arg "Agm_connectivity: unknown id"
-    else begin
-      let mid = (lo + hi) / 2 in
-      if all_ids.(mid) = id then mid else if all_ids.(mid) < id then go (mid + 1) hi else go lo mid
-    end
-  in
-  go 0 (Array.length all_ids)
+(* The shared decode's whole input, and its published result. *)
+type key = {
+  n : int;
+  params : params;
+  bandwidth : int;
+  specs : L0_sampler.hash_spec array;
+  payloads : Seq.seq array;  (* by sender index *)
+}
+
+type decoded = { components : int; labels : int array }
+
+let memo : (key, decoded) Chunked.memo = Chunked.memo ()
+
+let same_key a b =
+  a.n = b.n && a.params = b.params && a.bandwidth = b.bandwidth
+  && Array.for_all2 L0_sampler.equal_spec a.specs b.specs
+  && Chunked.same_payloads a.payloads b.payloads
 
 let build_own_samplers view params specs =
   let n = View.n view in
   let universe = Edge_coding.universe ~n in
-  let all = View.all_ids view in
-  let me = index_of_id all (View.id view) in
+  let me = Chunked.index_of_id view (View.id view) in
   Array.map
     (fun spec ->
       let s = L0_sampler.create ~universe ~check_bits:params.check_bits spec in
       List.iter
         (fun p ->
-          let nbr = index_of_id all (View.neighbor_id view p) in
+          let nbr = Chunked.index_of_id view (View.neighbor_id view p) in
           L0_sampler.toggle s (Edge_coding.encode ~n me nbr))
         (View.input_ports view);
       s)
@@ -70,8 +81,8 @@ let payload_bits ~n params = params.phases * params.copies * sampler_bits ~n ~ch
 let total_rounds ?(bandwidth = 1) ~n params =
   Chunked.rounds ~bits:(payload_bits ~n params) ~bandwidth
 
-(* The local Boruvka every vertex runs identically once it has all n
-   sketch families. samplers.(v).(k): vertex v's k-th sampler. *)
+(* The local Boruvka over all n sketch families, run once per run.
+   samplers.(v).(k): vertex v's k-th sampler. *)
 let local_components ~n params samplers =
   let uf = Conn.create n in
   for phase = 0 to params.phases - 1 do
@@ -109,7 +120,27 @@ let local_components ~n params samplers =
   done;
   uf
 
-let make ~name ?(bandwidth = 1) ~finish_of_uf () =
+(* Decode every vertex's sampler family from its payload and run the
+   local Boruvka. *)
+let decode key =
+  let n = key.n and params = key.params in
+  let universe = Edge_coding.universe ~n in
+  let sb = sampler_bits ~n ~check_bits:params.check_bits in
+  let samplers =
+    Array.map
+      (fun payload ->
+        let bits = Chunked.to_bits payload in
+        Array.mapi
+          (fun k spec ->
+            L0_sampler.of_bits ~universe ~check_bits:params.check_bits spec
+              (String.sub bits (k * sb) sb))
+          key.specs)
+      key.payloads
+  in
+  let uf = local_components ~n params samplers in
+  { components = Conn.components uf; labels = Conn.labels uf }
+
+let make ~name ?(bandwidth = 1) ~finish_of_decoded () =
   Chunked.check_bandwidth name bandwidth;
   let rounds ~n = total_rounds ~bandwidth ~n (default_params ~n) in
   let init view =
@@ -127,7 +158,8 @@ let make ~name ?(bandwidth = 1) ~finish_of_uf () =
         params;
         specs;
         own_bits;
-        heard = Array.init (View.num_ports view) (fun _ -> Buffer.create (String.length own_bits)) }
+        heard =
+          Chunked.accumulators ~ports:(View.num_ports view) ~bits:(String.length own_bits) }
   in
   let step st ~round ~inbox =
     (* Collect the bits broadcast in the previous round. *)
@@ -136,24 +168,15 @@ let make ~name ?(bandwidth = 1) ~finish_of_uf () =
   in
   let finish st ~inbox =
     Chunked.absorb ~into:st.heard inbox;
-    let n = View.n st.view in
-    let universe = Edge_coding.universe ~n in
-    let all = View.all_ids st.view in
-    let me = index_of_id all (View.id st.view) in
-    let k_total = st.params.phases * st.params.copies in
-    let sb = sampler_bits ~n ~check_bits:st.params.check_bits in
-    let decode_family bits =
-      Array.init k_total (fun k ->
-          L0_sampler.of_bits ~universe ~check_bits:st.params.check_bits st.specs.(k)
-            (String.sub bits (k * sb) sb))
+    let key =
+      { n = View.n st.view;
+        params = st.params;
+        bandwidth;
+        specs = st.specs;
+        payloads = Chunked.payloads st.view ~own:(Chunked.of_bits st.own_bits) st.heard }
     in
-    let samplers = Array.make n [||] in
-    samplers.(me) <- decode_family st.own_bits;
-    for p = 0 to View.num_ports st.view - 1 do
-      let sender = index_of_id all (View.neighbor_id st.view p) in
-      samplers.(sender) <- decode_family (Buffer.contents st.heard.(p))
-    done;
-    finish_of_uf st ~me (local_components ~n st.params samplers)
+    let me = Chunked.index_of_id st.view (View.id st.view) in
+    finish_of_decoded st ~me (Chunked.shared memo ~equal:same_key key (fun () -> decode key))
   in
   { Algo.name;
     anonymous = false;
@@ -166,15 +189,13 @@ let make ~name ?(bandwidth = 1) ~finish_of_uf () =
 let connectivity ?bandwidth () =
   Algo.pack
     (make ~name:"agm-sketch-connectivity" ?bandwidth
-       ~finish_of_uf:(fun _st ~me:_ uf -> Conn.components uf = 1)
+       ~finish_of_decoded:(fun _st ~me:_ d -> d.components = 1)
        ())
 
 let components ?bandwidth () =
   Algo.pack
     (make ~name:"agm-sketch-components" ?bandwidth
-       ~finish_of_uf:(fun st ~me uf ->
+       ~finish_of_decoded:(fun st ~me d ->
          (* Label: the smallest member ID of our component. *)
-         let all = View.all_ids st.view in
-         let labels = Conn.labels uf in
-         all.(labels.(me)))
+         (View.all_ids st.view).(d.labels.(me)))
        ())

@@ -6,8 +6,11 @@
 
     Every vertex broadcasts GF(2) ℓ₀-samplers of its incidence vector
     (one per Borůvka phase and boosting copy, hashes drawn from the
-    shared coins), then every vertex locally replays the identical
-    sketch-Borůvka. Monte Carlo: per-phase sampling can fail (retried
+    shared coins), then runs the sketch-Borůvka over all n sketch
+    families. That decode reads public broadcasts only, so it runs once
+    per run and is reused by every vertex whose decode input — n, the
+    coin-drawn hashes and every payload by sender index — equals the
+    decoder's ({!Chunked.shared}). Monte Carlo: per-phase sampling can fail (retried
     across copies and extra phases) and checksum collisions can fabricate
     edges; both are rare at the default parameters and are measured in
     experiment E14. KT-1 instances only.

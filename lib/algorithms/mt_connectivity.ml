@@ -2,14 +2,16 @@ open Bcclb_bcc
 open Bcclb_graph
 open Bcclb_sketch
 open Bcclb_detsketch
+module Seq = Bcclb_util.Bits.Seq
 
 (* Deterministic connectivity via syndrome sketches (Montealegre–Todinca
-   style): see the .mli for the protocol story. The implementation keeps
-   the public knowledge — an edge-status table over the coordinate
-   universe plus a Conn structure over the known edges — in every
-   vertex's state and advances it with the IDENTICAL replayed decode at
-   each phase boundary, so all vertices stay in lockstep without any
-   extra communication. *)
+   style): see the .mli for the protocol story. The public knowledge — an
+   edge-status table over the coordinate universe plus a Conn structure
+   over the known edges — is an immutable per-phase snapshot, a pure
+   function of every phase's payloads so far. It is decoded once per run
+   ({!Chunked.shared}) and held by every vertex whose own payload history
+   equals the decoder's, so all vertices stay in lockstep without any
+   extra communication and without n copies of the public state. *)
 
 type params = { s0 : int; phases : int; bandwidth : int }
 
@@ -39,20 +41,24 @@ let sum_over_phases params f =
 let syndrome_bits ~n params = sum_over_phases params (payload_bits ~n params)
 let total_rounds ~n params = sum_over_phases params (rounds_of_phase ~n params)
 
-let index_of_id all_ids id =
-  let rec go lo hi =
-    if lo >= hi then invalid_arg "Mt_connectivity: unknown id"
-    else begin
-      let mid = (lo + hi) / 2 in
-      if all_ids.(mid) = id then mid else if all_ids.(mid) < id then go (mid + 1) hi else go lo mid
-    end
-  in
-  go 0 (Array.length all_ids)
-
-(* Public edge status, replayed identically everywhere. *)
+(* Public edge status, by edge coordinate. *)
 let unknown = '\000'
 let edge = '\001'
 let nonedge = '\002'
+
+(* The public knowledge after a phase's decode. Published once and never
+   mutated again: the next phase decodes into copies, and [labels] is
+   computed before publication because [Conn.find] halves paths. *)
+type snapshot = { status : Bytes.t; conn : Conn.t; labels : int array }
+
+(* A phase decode's whole input: every phase's payloads so far by sender
+   index, newest first. *)
+type key = { n : int; params : params; history : Seq.seq array list }
+
+let memo : (key, snapshot) Chunked.memo = Chunked.memo ()
+
+let same_key a b =
+  a.n = b.n && a.params = b.params && List.equal Chunked.same_payloads a.history b.history
 
 type state = {
   view : View.t;
@@ -60,13 +66,16 @@ type state = {
   field : Gfp.t;
   me : int;
   incident : bool array;  (* my private incidence, by vertex index *)
-  status : Bytes.t;  (* public, by edge coordinate *)
-  conn : Conn.t;  (* public components of the known-edge graph *)
-  heard : Buffer.t array;  (* current phase's bits, per port *)
+  mutable public : snapshot option;  (* None before the first decode: nothing known *)
+  mutable history : Seq.seq array list;  (* decoded phases' payloads, newest first *)
+  mutable heard : Seq.seq array;  (* current phase's bits, per port *)
   mutable phase : int;
   mutable phase_start : int;  (* rounds before the current phase *)
   mutable own_bits : string;  (* current phase's payload *)
 }
+
+let status_of public coord =
+  match public with None -> unknown | Some p -> Bytes.get p.status coord
 
 (* My residual syndrome: incident edges whose status is still publicly
    unknown. The min endpoint of an edge carries weight +1, the max −1 —
@@ -78,33 +87,32 @@ let build_payload st =
     (fun u inc ->
       if inc then begin
         let coord = Edge_coding.encode ~n st.me u in
-        if Bytes.get st.status coord = unknown then
+        if status_of st.public coord = unknown then
           Syndrome.add t ~coord ~weight:(if st.me < u then 1 else -1)
       end)
     st.incident;
   Syndrome.to_bits t
 
-(* The replayed public decode of one phase, given everyone's residual
-   syndromes. Learning an edge subtracts it from both endpoints' working
-   syndromes (they counted it as residual at phase start), which can
-   unlock decodes that were over budget — the peeling cascade. *)
-let process_phase st syn =
-  let n = View.n st.view in
-  let s_k = sparsity st.params st.phase in
+(* The public decode of one phase into [status]/[conn], given everyone's
+   residual syndromes. Learning an edge subtracts it from both endpoints'
+   working syndromes (they counted it as residual at phase start), which
+   can unlock decodes that were over budget — the peeling cascade. *)
+let process_phase ~n ~params ~field ~phase status conn syn =
+  let s_k = sparsity params phase in
   let changed = ref false in
   let learn_edge coord =
-    if Bytes.get st.status coord = unknown then begin
-      Bytes.set st.status coord edge;
+    if Bytes.get status coord = unknown then begin
+      Bytes.set status coord edge;
       let u, v = Edge_coding.decode ~n coord in
-      ignore (Conn.union st.conn u v);
+      ignore (Conn.union conn u v);
       Syndrome.add syn.(u) ~coord ~weight:(-1);
       Syndrome.add syn.(v) ~coord ~weight:1;
       changed := true
     end
   in
   let learn_nonedge coord =
-    if Bytes.get st.status coord = unknown then begin
-      Bytes.set st.status coord nonedge;
+    if Bytes.get status coord = unknown then begin
+      Bytes.set status coord nonedge;
       changed := true
     end
   in
@@ -136,7 +144,7 @@ let process_phase st syn =
       for u = n - 1 downto 0 do
         if u <> v then begin
           let coord = Edge_coding.encode ~n u v in
-          if Bytes.get st.status coord = unknown then candidates := coord :: !candidates
+          if Bytes.get status coord = unknown then candidates := coord :: !candidates
         end
       done;
       let candidates = Array.of_list !candidates in
@@ -149,7 +157,7 @@ let process_phase st syn =
        unknown outgoing cut. *)
     let members = Hashtbl.create 16 in
     for v = 0 to n - 1 do
-      let root = Conn.find st.conn v in
+      let root = Conn.find conn v in
       Hashtbl.replace members root (v :: Option.value ~default:[] (Hashtbl.find_opt members root))
     done;
     if Hashtbl.length members > 1 then
@@ -157,7 +165,7 @@ let process_phase st syn =
         (fun _root vs ->
           let in_c = Array.make n false in
           List.iter (fun v -> in_c.(v) <- true) vs;
-          let merged = Syndrome.create ~field:st.field ~r:(elements_of st.params st.phase) in
+          let merged = Syndrome.create ~field ~r:(elements_of params phase) in
           List.iter (fun v -> Syndrome.merge_into ~into:merged syn.(v)) vs;
           let candidates = ref [] in
           List.iter
@@ -165,7 +173,7 @@ let process_phase st syn =
               for u = 0 to n - 1 do
                 if not in_c.(u) then begin
                   let coord = Edge_coding.encode ~n u v in
-                  if Bytes.get st.status coord = unknown then candidates := coord :: !candidates
+                  if Bytes.get status coord = unknown then candidates := coord :: !candidates
                 end
               done)
             vs;
@@ -179,27 +187,41 @@ let process_phase st syn =
     pass ()
   done
 
-(* Everyone's syndromes for the phase just completed: ours from the
-   payload we broadcast, each peer's from the heard bits. *)
-let phase_syndromes st =
-  let n = View.n st.view in
-  let r = elements_of st.params st.phase in
-  let all = View.all_ids st.view in
-  let syn = Array.make n (Syndrome.create ~field:st.field ~r:1) in
-  syn.(st.me) <- Syndrome.of_bits ~field:st.field ~r st.own_bits;
-  for p = 0 to View.num_ports st.view - 1 do
-    let sender = index_of_id all (View.neighbor_id st.view p) in
-    syn.(sender) <- Syndrome.of_bits ~field:st.field ~r (Buffer.contents st.heard.(p))
-  done;
-  syn
+(* The phase decode from the previous snapshot and everyone's payloads
+   for the phase, into a fresh snapshot. *)
+let decode ~n ~params ~field ~phase public payloads =
+  let r = elements_of params phase in
+  let syn = Array.map (fun p -> Syndrome.of_bits ~field ~r (Chunked.to_bits p)) payloads in
+  let status, conn =
+    match public with
+    | None -> (Bytes.make (Edge_coding.universe ~n) unknown, Conn.create n)
+    | Some p -> (Bytes.copy p.status, Conn.copy p.conn)
+  in
+  process_phase ~n ~params ~field ~phase status conn syn;
+  { status; conn; labels = Conn.labels conn }
 
+(* Close the current phase: key it by the whole payload history, and
+   decode only if this domain has not already decoded that history. *)
 let finish_phase st =
-  process_phase st (phase_syndromes st)
+  let n = View.n st.view in
+  let history = Chunked.payloads st.view ~own:(Chunked.of_bits st.own_bits) st.heard :: st.history in
+  let key = { n; params = st.params; history } in
+  let snapshot =
+    Chunked.shared memo ~equal:same_key key (fun () ->
+        decode ~n ~params:st.params ~field:st.field ~phase:st.phase st.public (List.hd history))
+  in
+  st.public <- Some snapshot;
+  st.history <- history;
+  snapshot
 
-let make ~name ?params ~finish_of_uf () =
+let make ~name ?params ~finish_of_snapshot () =
   let params_for ~n = match params with Some p -> p | None -> default_params ~n in
   let bandwidth ~n = (params_for ~n).bandwidth in
   let rounds ~n = total_rounds ~n (params_for ~n) in
+  let heard_for view params phase =
+    Chunked.accumulators ~ports:(View.num_ports view)
+      ~bits:(payload_bits ~n:(View.n view) params phase)
+  in
   let init view =
     match View.kt1 view with
     | None -> invalid_arg (name ^ ": needs a KT-1 instance")
@@ -207,21 +229,19 @@ let make ~name ?params ~finish_of_uf () =
       let n = View.n view in
       let params = params_for ~n in
       check_params params;
-      let all = View.all_ids view in
-      let me = index_of_id all (View.id view) in
       let incident = Array.make n false in
       List.iter
-        (fun p -> incident.(index_of_id all (View.neighbor_id view p)) <- true)
+        (fun p -> incident.(Chunked.index_of_id view (View.neighbor_id view p)) <- true)
         (View.input_ports view);
       let st =
         { view;
           params;
           field = field ~n;
-          me;
+          me = Chunked.index_of_id view (View.id view);
           incident;
-          status = Bytes.make (Edge_coding.universe ~n) unknown;
-          conn = Conn.create n;
-          heard = Array.init (View.num_ports view) (fun _ -> Buffer.create 64);
+          public = None;
+          history = [];
+          heard = heard_for view params 0;
           phase = 0;
           phase_start = 0;
           own_bits = "" }
@@ -234,13 +254,14 @@ let make ~name ?params ~finish_of_uf () =
     let n = View.n st.view in
     if round > st.phase_start + rounds_of_phase ~n st.params st.phase then begin
       (* First round of the next phase: the inbox we just absorbed
-         completed the previous phase's payloads. Replay the public
-         decode, then sketch what is still unknown. *)
-      finish_phase st;
+         completed the previous phase's payloads. Take the public decode,
+         then sketch what is still unknown. The old accumulators now
+         belong to the history, so the new phase gets fresh ones. *)
+      ignore (finish_phase st);
       st.phase_start <- st.phase_start + rounds_of_phase ~n st.params st.phase;
       st.phase <- st.phase + 1;
       st.own_bits <- build_payload st;
-      Array.iter Buffer.clear st.heard
+      st.heard <- heard_for st.view st.params st.phase
     end;
     ( st,
       Chunked.emit ~bits:st.own_bits ~bandwidth:st.params.bandwidth
@@ -248,22 +269,18 @@ let make ~name ?params ~finish_of_uf () =
   in
   let finish st ~inbox =
     Chunked.absorb ~into:st.heard inbox;
-    finish_phase st;
-    finish_of_uf st st.conn
+    finish_of_snapshot st (finish_phase st)
   in
   { Algo.name; anonymous = false; bandwidth; rounds; init; step; finish }
 
 let connectivity ?params () =
   Algo.pack
     (make ~name:"mt-syndrome-connectivity" ?params
-       ~finish_of_uf:(fun _st uf -> Conn.components uf = 1)
+       ~finish_of_snapshot:(fun _st snap -> Conn.components snap.conn = 1)
        ())
 
 let components ?params () =
   Algo.pack
     (make ~name:"mt-syndrome-components" ?params
-       ~finish_of_uf:(fun st uf ->
-         let all = View.all_ids st.view in
-         let labels = Conn.labels uf in
-         all.(labels.(st.me)))
+       ~finish_of_snapshot:(fun st snap -> (View.all_ids st.view).(snap.labels.(st.me)))
        ())

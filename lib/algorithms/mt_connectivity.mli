@@ -5,14 +5,21 @@
     Every vertex broadcasts, per phase, the deterministic power-sum
     syndrome ({!Bcclb_detsketch.Syndrome}) of its residual incidence
     vector — the incident edges whose status is not yet public — chunked
-    b bits per round; then every vertex replays the identical public
-    decode: per-vertex exact sparse recovery (which certifies non-edges
-    too), a peeling cascade (newly learnt edges are subtracted from both
-    endpoints' syndromes, unlocking further decodes), and per-component
-    syndrome sums whose internal edges cancel, so a component decodes its
-    whole outgoing cut at once — sketch-Borůvka. The sparsity budget
-    doubles each phase (s·2^k), so O(1) phases cover the degree range of
-    the promise families.
+    b bits per round; then the public decode runs: per-vertex exact
+    sparse recovery (which certifies non-edges too), a peeling cascade
+    (newly learnt edges are subtracted from both endpoints' syndromes,
+    unlocking further decodes), and per-component syndrome sums whose
+    internal edges cancel, so a component decodes its whole outgoing cut
+    at once — sketch-Borůvka. The sparsity budget doubles each phase
+    (s·2^k), so O(1) phases cover the degree range of the promise
+    families.
+
+    The decode reads public broadcasts only, so it runs once per run: its
+    result is an immutable per-phase snapshot of the public knowledge,
+    which every vertex adopts after checking that its own payload history
+    — every phase's payloads by sender index — equals the decoder's
+    ({!Chunked.shared}). A vertex's output is still a function of its own
+    view and inbox alone.
 
     Everything is coin-free. Exactness promise, from
     {!Bcclb_detsketch.Syndrome.decode}: any residual vector within 3 of

@@ -12,6 +12,8 @@ let create n =
 
 let size t = Array.length t.cells
 
+let copy t = { cells = Array.copy t.cells; components = t.components }
+
 let components t = t.components
 
 (* Path halving: swing x past its parent to its grandparent, then

@@ -27,6 +27,10 @@ val create : int -> t
 
 val size : t -> int
 
+val copy : t -> t
+(** An independent forest with the same cells, hence the same sets and
+    the same representatives. *)
+
 val union : t -> int -> int -> bool
 (** Merge the two sets; [true] iff they were distinct. *)
 

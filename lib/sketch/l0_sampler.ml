@@ -38,6 +38,8 @@ let fresh_spec rng =
     a2 = 1 + Rng.int rng (prime - 1);
     b2 = Rng.int rng prime }
 
+let equal_spec (x : hash_spec) y = x = y
+
 let levels_for ~universe = Mathx.ceil_log2 (max 2 universe) + 1
 
 let create ~universe ~check_bits spec =

@@ -16,6 +16,8 @@ type t
 val fresh_spec : Bcclb_util.Rng.t -> hash_spec
 (** Draw a hash specification from (public) coins. *)
 
+val equal_spec : hash_spec -> hash_spec -> bool
+
 val create : universe:int -> check_bits:int -> hash_spec -> t
 (** Empty sampler over coordinates [0, universe).
     @raise Invalid_argument on empty universe. *)

@@ -497,6 +497,179 @@ let test_codec () =
   Alcotest.(check (pair int bool)) "silence = incomplete" (0b101, false)
     (Codec.decode_int ~first:1 ~width:3 with_silence)
 
+(* ---------- public decodes shared once per run ---------- *)
+
+(* One instance run by hand: every vertex call is the test's to make, so
+   vertices of different instances can be interleaved and any vertex
+   can be finished on a doctored final inbox. Mirrors Simulator.run's
+   views, coins and broadcast exchange. *)
+type 'o hand = {
+  hn : int;
+  hrounds : int;
+  step_vertex : round:int -> int -> unit;
+  exchange : unit -> unit;  (* after every vertex has stepped a round *)
+  finish_vertex : ?tamper:(Msg.t array -> Msg.t array) -> int -> 'o;
+}
+
+let hand ?(seed = 0) (Algo.Packed a) inst =
+  let n = Instance.n inst in
+  let states = Array.init n (fun v -> a.Algo.init (Instance.view ~coins_seed:seed inst v)) in
+  let inbox = ref (Array.init n (fun _ -> Array.make (n - 1) Msg.silent)) in
+  let sent = Array.make n Msg.silent in
+  { hn = n;
+    hrounds = a.Algo.rounds ~n;
+    step_vertex =
+      (fun ~round v ->
+        let st, m = a.Algo.step states.(v) ~round ~inbox:!inbox.(v) in
+        states.(v) <- st;
+        sent.(v) <- m);
+    exchange =
+      (fun () ->
+        inbox := Array.init n (fun v -> Array.init (n - 1) (fun p -> sent.(Instance.peer inst v p))));
+    finish_vertex = (fun ?(tamper = Fun.id) v -> a.Algo.finish states.(v) ~inbox:(tamper !inbox.(v))) }
+
+let run_rounds h =
+  for round = 1 to h.hrounds do
+    for v = 0 to h.hn - 1 do
+      h.step_vertex ~round v
+    done;
+    h.exchange ()
+  done
+
+(* Flip the low bit of the word heard on [port]. *)
+let flip ~port inbox =
+  let inbox = Array.copy inbox in
+  (match inbox.(port) with
+  | Msg.Word w ->
+    let module B = Bcclb_util.Bits in
+    inbox.(port) <- Msg.of_bits (B.make ~width:(B.width w) ~value:(B.value w lxor 1))
+  | Msg.Silent -> ());
+  inbox
+
+(* Finish every honest vertex (so the domain's memo holds the honest
+   decode), then vertex 0 on a final inbox with one bit flipped on
+   [port]. Its output must be what it computes on a fresh domain, where
+   nothing is cached: a decode is reused only on an equal input. Returns
+   whether the flip changed vertex 0's answer. *)
+let check_tampered ?seed algo inst ~port =
+  let tamper = flip ~port in
+  let h = hand ?seed algo inst in
+  run_rounds h;
+  for v = 1 to h.hn - 1 do
+    ignore (h.finish_vertex v)
+  done;
+  let warm = h.finish_vertex ~tamper 0 in
+  let alone =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let h = hand ?seed algo inst in
+           run_rounds h;
+           h.finish_vertex ~tamper 0))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: tampered port %d agrees with a cold domain" (Algo.name algo) port)
+    true (warm = alone);
+  warm <> Domain.join (Domain.spawn (fun () -> (Simulator.run ?seed algo inst).Simulator.outputs.(0)))
+
+let tampered_family ~conn ~comp =
+  let rng = Rng.create ~seed:230 in
+  let g = Ggen.random_two_cycles rng 10 in
+  let inst = Instance.kt1_of_graph g in
+  let changed = ref 0 in
+  for port = 0 to Instance.n inst - 2 do
+    if check_tampered ~seed:5 conn inst ~port then incr changed;
+    if check_tampered ~seed:5 comp inst ~port then incr changed
+  done;
+  !changed
+
+let test_memo_tampered_mt () =
+  ignore
+    (tampered_family ~conn:(Mt_connectivity.connectivity ()) ~comp:(Mt_connectivity.components ()))
+
+let test_memo_tampered_agm () =
+  ignore
+    (tampered_family
+       ~conn:(Agm_connectivity.connectivity ~bandwidth:16 ())
+       ~comp:(Agm_connectivity.components ~bandwidth:16 ()))
+
+let test_memo_tampered_adjacency () =
+  (* A flipped row bit adds or removes an edge, so here some flips must
+     change the answer: the warm memo would have hidden that. *)
+  let changed =
+    tampered_family
+      ~conn:(Adjacency_matrix.connectivity ~bandwidth:3 ())
+      ~comp:(Adjacency_matrix.components ~bandwidth:3 ())
+  in
+  Alcotest.(check bool) "some flip changes the answer" true (changed > 0)
+
+(* Step two instances' vertices alternately on one domain, so each
+   vertex's lookup finds the other instance's decode. *)
+let interleaved ?seed algo a b =
+  let ha = hand ?seed algo a and hb = hand ?seed algo b in
+  for round = 1 to ha.hrounds do
+    for v = 0 to ha.hn - 1 do
+      ha.step_vertex ~round v;
+      hb.step_vertex ~round v
+    done;
+    ha.exchange ();
+    hb.exchange ()
+  done;
+  let outs = Array.init ha.hn (fun v -> (ha.finish_vertex v, hb.finish_vertex v)) in
+  (Array.map fst outs, Array.map snd outs)
+
+(* The reference runs each instance alone on a fresh domain, so that no
+   decode cached by another instance can leak into it. *)
+let interleaved_matches ?seed algo a b =
+  let oa, ob = interleaved ?seed algo a b in
+  let out inst =
+    Domain.join (Domain.spawn (fun () -> (Simulator.run ?seed algo inst).Simulator.outputs))
+  in
+  oa = out a && ob = out b
+
+let random_kt1 rng n =
+  Instance.kt1_of_graph
+    (match Rng.int rng 3 with
+    | 0 -> Ggen.random_multicycle rng n
+    | 1 -> Ggen.random_bounded_degree rng n 3
+    | _ -> Ggen.gnp rng n (1.5 /. float_of_int n))
+
+(* A check run on each of the six shared-decode algorithms. *)
+type check = { check : 'o. 'o Algo.packed -> bool }
+
+let public_decode_checks ~agm_b ~adj_b { check } =
+  [ check (Mt_connectivity.connectivity ());
+    check (Mt_connectivity.components ());
+    check (Agm_connectivity.connectivity ~bandwidth:agm_b ());
+    check (Agm_connectivity.components ~bandwidth:agm_b ());
+    check (Adjacency_matrix.connectivity ~bandwidth:adj_b ());
+    check (Adjacency_matrix.components ~bandwidth:adj_b ()) ]
+
+let test_memo_two_domains () =
+  (* Different instances on two domains at once: each domain's memo is
+     its own, and the outputs are those of sequential runs. *)
+  let batch seed =
+    let rng = Rng.create ~seed in
+    let insts = List.init 3 (fun i -> random_kt1 rng (12 + (4 * i))) in
+    fun () ->
+      List.concat_map
+        (fun inst ->
+          let run algo = Simulator.run ~seed algo inst in
+          let bools algo = Array.map (fun b -> if b then 1 else 0) (run algo).Simulator.outputs in
+          let ints algo = (run algo).Simulator.outputs in
+          [ bools (Mt_connectivity.connectivity ());
+            ints (Mt_connectivity.components ());
+            bools (Agm_connectivity.connectivity ~bandwidth:24 ());
+            ints (Agm_connectivity.components ~bandwidth:24 ());
+            bools (Adjacency_matrix.connectivity ~bandwidth:5 ());
+            ints (Adjacency_matrix.components ~bandwidth:5 ()) ])
+        insts
+  in
+  let a = batch 41 and b = batch 42 in
+  let da = Domain.spawn a and db = Domain.spawn b in
+  let ca = Domain.join da and cb = Domain.join db in
+  Alcotest.(check bool) "first domain = sequential" true (ca = a ());
+  Alcotest.(check bool) "second domain = sequential" true (cb = b ())
+
 let suites =
   [ Alcotest.test_case "discovery KT-0" `Quick test_discovery_kt0;
     Alcotest.test_case "discovery KT-0 random wiring" `Quick test_discovery_kt0_random_wiring;
@@ -526,6 +699,10 @@ let suites =
       test_mt_rounds_constant_at_log_bandwidth;
     Alcotest.test_case "mt narrow-bandwidth chunking" `Quick test_mt_narrow_bandwidth_chunking;
     Alcotest.test_case "chunked bandwidth variants" `Quick test_chunked_bandwidth_variants;
+    Alcotest.test_case "mt memo: tampered inbox" `Quick test_memo_tampered_mt;
+    Alcotest.test_case "agm memo: tampered inbox" `Quick test_memo_tampered_agm;
+    Alcotest.test_case "adjacency memo: tampered inbox" `Quick test_memo_tampered_adjacency;
+    Alcotest.test_case "public decodes on two domains" `Quick test_memo_two_domains;
     Alcotest.test_case "mst matches kruskal" `Quick test_mst_matches_kruskal;
     Alcotest.test_case "mst total weight" `Quick test_mst_total_weight;
     Alcotest.test_case "mst on cycle" `Quick test_mst_on_promise_inputs;
@@ -561,7 +738,31 @@ let qsuites =
       pure (n, k, coin, two, cut))
   in
   let print = Print.(tup5 int int int bool int) in
-  [ Test.make ~name:"hashed discovery matches its history-decoding reference" ~count:200 ~print
+  [ Test.make ~name:"chunked payload round-trips at every bandwidth" ~count:100
+      ~print:Print.(pair string int)
+      Gen.(pair (string_size ~gen:(oneofl [ '0'; '1' ]) (1 -- 500)) (1 -- 1000))
+      (fun (bits, capacity) ->
+        let module Seq = Bcclb_util.Bits.Seq in
+        let expected = Chunked.of_bits bits in
+        List.for_all
+          (fun bandwidth ->
+            let acc = Array.init 1 (fun _ -> Seq.create ~capacity ()) in
+            for chunk = 0 to Chunked.rounds ~bits:(String.length bits) ~bandwidth - 1 do
+              Chunked.absorb ~into:acc [| Chunked.emit ~bits ~bandwidth ~chunk |]
+            done;
+            Chunked.to_bits acc.(0) = bits && Seq.equal acc.(0) expected && Seq.equal expected acc.(0))
+          (List.init Bcclb_util.Bits.max_width (fun i -> i + 1)));
+    Test.make ~name:"public decodes: interleaved instances match Simulator.run" ~count:12
+      ~print:Print.(tup4 int int int int)
+      Gen.(tup4 (4 -- 40) (0 -- 100000) (40 -- 62) (1 -- 8))
+      (fun (n, seed, agm_b, adj_b) ->
+        let rng = Rng.create ~seed in
+        let a = random_kt1 rng n and b = random_kt1 rng n in
+        (* Same n and coins: only the payloads tell the two runs apart. *)
+        List.for_all Fun.id
+          (public_decode_checks ~agm_b ~adj_b
+             { check = (fun algo -> interleaved_matches ~seed algo a b) }));
+    Test.make ~name:"hashed discovery matches its history-decoding reference" ~count:200 ~print
       (hashed_case Gen.(4 -- 32) Gen.(1 -- 12))
       hashed_parity;
     (* The reference scans 2^20 buckets per vertex at k = 20: few, small cases. *)
