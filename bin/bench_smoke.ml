@@ -1,17 +1,18 @@
 (* Parity + timing smoke for the packed and orbit-reduced §3 fast paths.
 
    Runs the indist-build and crossing-check kernels across modes —
-   legacy (reference strings-and-scans implementation, `All crossing
-   verification), packed (arena handles + 2-bit codes, `Sampled
-   verification) and orbit (one execution per rotation class, weighted
-   expansion) — checks the results are identical, and writes the
-   timings to BENCH_engine.json (bcclb-bench-v1 schema, same file the
-   bechamel suite produces). Exits nonzero on any parity mismatch, so CI
-   can gate on it.
+   packed (arena handles + 2-bit codes, every instance), orbit (one
+   execution per rotation class, weighted expansion) and the crossing
+   check's `All vs `Sampled verification — checks that the modes agree,
+   and writes the timings to BENCH_engine.json (bcclb-bench-v2 schema,
+   same file the bechamel suite produces). Exits nonzero on any parity
+   mismatch, so CI can gate on it. The string-label oracle the packed
+   builds are checked against lives in the test suite
+   (test/indist_reference.ml).
 
      dune exec bin/bench_smoke.exe --                 # n=8 parity + timing
      dune exec bin/bench_smoke.exe -- --orbit-parity  # + orbit==packed, n=8..10
-     dune exec bin/bench_smoke.exe -- --deep          # + speedup gates, frontier
+     dune exec bin/bench_smoke.exe -- --deep          # + n=9/10 timings, speedup gate, frontier
      dune exec bin/bench_smoke.exe -- --deep --n13    # + n=13 frontier row
      dune exec bin/bench_smoke.exe -- --out f.json
      dune exec bin/bench_smoke.exe -- --baseline bench/baselines/engine.json
@@ -28,11 +29,11 @@
 
    --orbit-parity asserts the orbit-reduced build_full/build match the
    packed path byte-for-byte at n=8..10 (the CI gate for the quotient
-   machinery). --deep additionally measures the build_full n=9
-   packed-vs-reference speedup, the n=10 orbit-streamed vs non-orbit
-   materialised speedup (both targets >= 5x), records orbit-count vs
-   census-size for every store-supported n, and times the streaming
-   frontier to n=12 (n=13 with --n13; expect ~15 min single-core). *)
+   machinery). --deep additionally times the n=9 build_full cold and
+   memoised, measures the n=10 orbit-streamed vs non-orbit materialised
+   speedup (target >= 5x), records orbit-count vs census-size for every
+   store-supported n, and times the streaming frontier to n=12 (n=13
+   with --n13; expect ~15 min single-core). *)
 
 module Core = Bcclb_core
 module Instance = Bcclb_bcc.Instance
@@ -82,21 +83,11 @@ let graphs_equal (a : Core.Indist_graph.t) (b : Core.Indist_graph.t) =
 
 let smoke_indist ~n ~t =
   let algo = truncated ~rounds:t in
-  let packed, s_packed = time (fun () -> Core.Indist_graph.build algo ~n ()) in
-  let legacy, s_legacy = time (fun () -> Core.Indist_graph.build_reference algo ~n ()) in
-  record (Printf.sprintf "smoke-indist-build-n%d-t%d-packed" n t) s_packed;
-  record (Printf.sprintf "smoke-indist-build-n%d-t%d-legacy" n t) s_legacy;
-  expect (Printf.sprintf "indist-build n=%d t=%d" n t) (graphs_equal packed legacy);
-  let fpacked, s_fpacked = time (fun () -> Core.Indist_graph.build_full algo ~n ()) in
-  let flegacy, s_flegacy = time (fun () -> Core.Indist_graph.build_full_reference algo ~n ()) in
-  record (Printf.sprintf "smoke-indist-build-full-n%d-t%d-packed" n t) s_fpacked;
-  record (Printf.sprintf "smoke-indist-build-full-n%d-t%d-legacy" n t) s_flegacy;
-  expect
-    (Printf.sprintf "indist-build-full n=%d t=%d" n t)
-    (fpacked.Core.Indist_graph.adj = flegacy.Core.Indist_graph.adj
-    && fpacked.Core.Indist_graph.radj = flegacy.Core.Indist_graph.radj);
-  Printf.printf "  build_full n=%d t=%d: legacy %.3fs packed %.3fs (%.1fx)\n%!" n t s_flegacy
-    s_fpacked (s_flegacy /. s_fpacked)
+  let _, s_build = time (fun () -> Core.Indist_graph.build algo ~n ()) in
+  let _, s_full = time (fun () -> Core.Indist_graph.build_full algo ~n ()) in
+  record (Printf.sprintf "smoke-indist-build-n%d-t%d-packed" n t) s_build;
+  record (Printf.sprintf "smoke-indist-build-full-n%d-t%d-packed" n t) s_full;
+  Printf.printf "  build n=%d t=%d: %.3fs, build_full %.3fs\n%!" n t s_build s_full
 
 let smoke_crossing ~n ~t =
   let algo = truncated ~rounds:t in
@@ -182,7 +173,7 @@ let smoke_mt_connectivity () =
    row), which is where a wrong atlas would show. *)
 let orbit_parity ~n ~t =
   let algo = anonymous ~rounds:t in
-  let orbit, s_orbit = time ~reps:1 (fun () -> Core.Indist_graph.build_full_orbit algo ~n ()) in
+  let orbit, s_orbit = time ~reps:1 (fun () -> Core.Indist_graph.build_full algo ~n ()) in
   let packed, s_packed = time ~reps:1 (fun () -> Core.Indist_graph.build_full_packed algo ~n ()) in
   record (Printf.sprintf "smoke-orbit-build-full-n%d-t%d-orbit" n t) s_orbit;
   record (Printf.sprintf "smoke-orbit-build-full-n%d-t%d-packed" n t) s_packed;
@@ -190,7 +181,7 @@ let orbit_parity ~n ~t =
     (Printf.sprintf "orbit-build-full n=%d t=%d" n t)
     (orbit.Core.Indist_graph.adj = packed.Core.Indist_graph.adj
     && orbit.Core.Indist_graph.radj = packed.Core.Indist_graph.radj);
-  let lorbit = Core.Indist_graph.build_orbit algo ~n () in
+  let lorbit = Core.Indist_graph.build algo ~n () in
   let lpacked = Core.Indist_graph.build_packed algo ~n () in
   expect (Printf.sprintf "orbit-build (labelled) n=%d t=%d" n t) (graphs_equal lorbit lpacked)
 
@@ -198,29 +189,17 @@ let orbit_parity_sweep () =
   Printf.printf "orbit parity: orbit-reduced vs packed at n=8..10\n%!";
   List.iter (fun n -> List.iter (fun t -> orbit_parity ~n ~t) [ 0; 2; 3 ]) [ 8; 9; 10 ]
 
-let deep_speedup () =
+let deep_n9 () =
   let n = 9 and t = 2 in
   let algo = truncated ~rounds:t in
   (* First call pays census enumeration + every execution; subsequent
      calls hit the process-level arena and code memos — the steady state
      a parameter sweep sees. Record both. *)
-  let packed, s_cold = time ~reps:1 (fun () -> Core.Indist_graph.build_full algo ~n ()) in
+  let _, s_cold = time ~reps:1 (fun () -> Core.Indist_graph.build_full algo ~n ()) in
   let _, s_packed = time (fun () -> Core.Indist_graph.build_full algo ~n ()) in
-  let legacy, s_legacy = time (fun () -> Core.Indist_graph.build_full_reference algo ~n ()) in
   record (Printf.sprintf "smoke-indist-build-full-n%d-t%d-packed-cold" n t) s_cold;
   record (Printf.sprintf "smoke-indist-build-full-n%d-t%d-packed" n t) s_packed;
-  record (Printf.sprintf "smoke-indist-build-full-n%d-t%d-legacy" n t) s_legacy;
-  expect "indist-build-full n=9 deep"
-    (packed.Core.Indist_graph.adj = legacy.Core.Indist_graph.adj);
-  let speedup = s_legacy /. s_packed in
-  rows := (Printf.sprintf "smoke-indist-build-full-n%d-t%d-speedup-x" n t, speedup) :: !rows;
-  Printf.printf
-    "  build_full n=%d t=%d: legacy %.2fs packed cold %.2fs (%.1fx) warm %.3fs -> %.1fx speedup\n%!"
-    n t s_legacy s_cold (s_legacy /. s_cold) s_packed speedup;
-  if speedup < 5.0 then begin
-    incr failures;
-    Printf.printf "  speedup target (>= 5x) NOT MET\n%!"
-  end
+  Printf.printf "  build_full n=%d t=%d: packed cold %.2fs, memoised %.3fs\n%!" n t s_cold s_packed
 
 let deep_n10 () =
   let n = 10 and t = 4 in
@@ -466,7 +445,7 @@ let () =
     exit 2
   | _ -> ());
   Bcclb_obs.Trace.start_from_env ();
-  Printf.printf "bench smoke: packed vs legacy parity at n=8\n%!";
+  Printf.printf "bench smoke: n=8 kernels, parity and timing\n%!";
   smoke_indist ~n:8 ~t:2;
   smoke_crossing ~n:8 ~t:2;
   smoke_detsketch ();
@@ -474,8 +453,8 @@ let () =
   orbit_parity ~n:8 ~t:3;
   if orbit_parity_mode then orbit_parity_sweep ();
   if deep then begin
-    Printf.printf "deep: speedup targets, exhaustive n=10, orbit frontier\n%!";
-    deep_speedup ();
+    Printf.printf "deep: n=9 timing, exhaustive n=10, orbit speedup, orbit frontier\n%!";
+    deep_n9 ();
     deep_n10 ();
     deep_orbit ();
     deep_frontier ~n13 ()

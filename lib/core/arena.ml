@@ -381,6 +381,14 @@ let codes_reps arena ?(seed = 0) algo =
 let codable algo ~n =
   Algo.bandwidth algo ~n <= 1 && 2 * Algo.rounds algo ~n <= Bits.max_width
 
+let require_codable ~who algo ~n =
+  if n > max_n || not (codable algo ~n) then
+    invalid_arg
+      (Printf.sprintf
+         "%s: %S at n = %d does not pack into machine-word codes (needs bandwidth 1, at most %d \
+          rounds and n <= %d)"
+         who (Algo.name algo) n (Bits.max_width / 2) max_n)
+
 (* ---- the segmented, spillable orbit store ----
 
    One fixed-width record per V₁ rotation-class representative: the

@@ -141,6 +141,11 @@ val codable : 'o Bcclb_bcc.Algo.packed -> n:int -> bool
 (** Bandwidth ≤ 1 and ≤ 31 declared rounds: the algorithm's broadcast
     sequences pack into one machine word per vertex. *)
 
+val require_codable : who:string -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit
+(** The refusal every packed-code consumer shares.
+    @raise Invalid_argument naming [who] and the algorithm unless it is
+    {!codable} at n ≤ {!max_n}. *)
+
 (** Segmented, spillable store of V₁'s rotation-orbit representatives.
 
     One fixed-width record per representative — the canonical cycle minus

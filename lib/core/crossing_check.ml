@@ -47,18 +47,96 @@ let directed_edges structure =
       List.init k (fun i -> (cyc.(i), cyc.((i + 1) mod k))))
     (Cycles.cycles structure)
 
+(* Running totals of one check; pair counts are weighted, execution
+   counts are not. *)
+type tally = {
+  mutable crossable : int;
+  mutable same_label : int;
+  mutable indist : int;
+  mutable violations : int;
+  mutable diff_dist : int;
+  mutable executed : int;
+  mutable verified : int;
+}
+
+(* Every independent directed-edge pair of one instance, each counted
+   [weight] times: one base execution, and crossed runs compared against
+   it within the [verify] budgets. *)
+let sweep tally ~seed ~verify algo inst structure ~weight =
+  let base = Simulator.run ~seed algo inst in
+  let indist_from_base = Simulator.indistinguishable_from base in
+  let sent v = Transcript.sent_string base.Simulator.transcripts.(v) in
+  let budget () = ref (match verify with `All -> max_int | `Sampled k -> k | `Off -> 0) in
+  let same_budget = budget () and diff_budget = budget () in
+  let edges = Array.of_list (directed_edges structure) in
+  let m = Array.length edges in
+  for i = 0 to m - 1 do
+    for j = i + 1 to m - 1 do
+      let (v1, u1) = edges.(i) and (v2, u2) = edges.(j) in
+      if Instance.independent inst (v1, u1) (v2, u2) then begin
+        tally.crossable <- tally.crossable + weight;
+        let run_crossed () =
+          tally.executed <- tally.executed + 1;
+          let crossed = Instance.cross inst (v1, u1) (v2, u2) in
+          indist_from_base crossed (Simulator.run ~seed algo crossed)
+        in
+        if sent v1 = sent v2 && sent u1 = sent u2 then begin
+          tally.same_label <- tally.same_label + weight;
+          if !same_budget > 0 then begin
+            decr same_budget;
+            tally.verified <- tally.verified + 1;
+            if run_crossed () then tally.indist <- tally.indist + weight
+            else tally.violations <- tally.violations + weight
+          end
+          else
+            (* Unverified same-label pairs are indistinguishable by
+               Lemma 3.4 — the sampled executions spot-check it. *)
+            tally.indist <- tally.indist + weight
+        end
+        else if !diff_budget > 0 then begin
+          decr diff_budget;
+          if not (run_crossed ()) then tally.diff_dist <- tally.diff_dist + weight
+        end
+      end
+    done
+  done
+
+(* Run [body] on a fresh tally, publish its totals, and report. *)
+let tallied ~instances body =
+  let t =
+    { crossable = 0;
+      same_label = 0;
+      indist = 0;
+      violations = 0;
+      diff_dist = 0;
+      executed = 0;
+      verified = 0 }
+  in
+  body t;
+  Obs.Metrics.Counter.add pairs_metric t.crossable;
+  Obs.Metrics.Counter.add executed_metric t.executed;
+  Obs.Metrics.Counter.add verified_metric t.verified;
+  { instances;
+    crossable_pairs = t.crossable;
+    same_label_pairs = t.same_label;
+    indistinguishable = t.indist;
+    violations = t.violations;
+    distinguishable_diff_label = t.diff_dist;
+    executed = t.executed;
+    verified = t.verified }
+
 (* Exhaustive weighted sweep over V₁'s rotation-class representatives
    (instead of [instances] random draws): every independent pair of
    every census instance is accounted for — an orbit member's pairs are
    counted through its representative with the orbit weight — while
    genuine rewired executions run only on representatives. Sound under
-   the same condition as the orbit-reduced Indist_graph paths:
+   the same condition as the orbit-reduced Indist_graph builds:
    rotation-equivariant transcripts. In the report, pair counts are
    census-weighted and [instances] is |V₁|; [executed]/[verified] stay
    actual execution counts, so the reduction factor is visible as
    verified ≪ same_label_pairs even under [`All]. *)
 let check_reps ?(seed = 0) ?(verify = `Sampled 16) algo ~n =
-  if not (Algo.anonymous algo || Algo.rounds algo ~n = 0) then
+  if not (Indist_graph.orbit_applicable algo ~n) then
     invalid_arg
       (Printf.sprintf
          "Crossing_check.check_reps: weighted-representative counting is sound only for \
@@ -66,120 +144,24 @@ let check_reps ?(seed = 0) ?(verify = `Sampled 16) algo ~n =
          (Algo.name algo));
   Obs.span "crossing.check_reps" ~attrs:[ ("n", string_of_int n) ]
   @@ fun () ->
-  let crossable = ref 0 and same_label = ref 0 and indist = ref 0 in
-  let violations = ref 0 and diff_dist = ref 0 in
-  let executed = ref 0 and verified = ref 0 in
-  Census.iter_one_cycle_orbits ~n (fun s ~weight ->
-      let inst = Instance.kt0_circulant (Cycles.to_graph ~n s) in
-      let base = Simulator.run ~seed algo inst in
-      let indist_from_base = Simulator.indistinguishable_from base in
-      let sent v = Transcript.sent_string base.Simulator.transcripts.(v) in
-      let same_budget = ref (match verify with `All -> max_int | `Sampled k -> k | `Off -> 0) in
-      let diff_budget = ref (match verify with `All -> max_int | `Sampled k -> k | `Off -> 0) in
-      let edges = Array.of_list (directed_edges s) in
-      let m = Array.length edges in
-      for i = 0 to m - 1 do
-        for j = i + 1 to m - 1 do
-          let (v1, u1) = edges.(i) and (v2, u2) = edges.(j) in
-          if Instance.independent inst (v1, u1) (v2, u2) then begin
-            crossable := !crossable + weight;
-            let run_crossed () =
-              incr executed;
-              let crossed = Instance.cross inst (v1, u1) (v2, u2) in
-              indist_from_base crossed (Simulator.run ~seed algo crossed)
-            in
-            if sent v1 = sent v2 && sent u1 = sent u2 then begin
-              same_label := !same_label + weight;
-              if !same_budget > 0 then begin
-                decr same_budget;
-                incr verified;
-                if run_crossed () then indist := !indist + weight
-                else violations := !violations + weight
-              end
-              else indist := !indist + weight
-            end
-            else if !diff_budget > 0 then begin
-              decr diff_budget;
-              if not (run_crossed ()) then diff_dist := !diff_dist + weight
-            end
-          end
-        done
-      done);
-  Obs.Metrics.Counter.add pairs_metric !crossable;
-  Obs.Metrics.Counter.add executed_metric !executed;
-  Obs.Metrics.Counter.add verified_metric !verified;
-  { instances = Census.num_one_cycles ~n;
-    crossable_pairs = !crossable;
-    same_label_pairs = !same_label;
-    indistinguishable = !indist;
-    violations = !violations;
-    distinguishable_diff_label = !diff_dist;
-    executed = !executed;
-    verified = !verified }
+  tallied ~instances:(Census.num_one_cycles ~n) (fun tally ->
+      Census.iter_one_cycle_orbits ~n (fun s ~weight ->
+          let inst = Instance.kt0_circulant (Cycles.to_graph ~n s) in
+          sweep tally ~seed ~verify algo inst s ~weight))
 
 let check ?(seed = 0) ?(verify = `Sampled 16) algo ~n ~instances ~wiring rng =
   Obs.span "crossing.check"
     ~attrs:[ ("n", string_of_int n); ("instances", string_of_int instances) ]
   @@ fun () ->
-  let crossable = ref 0 and same_label = ref 0 and indist = ref 0 in
-  let violations = ref 0 and diff_dist = ref 0 in
-  let executed = ref 0 and verified = ref 0 in
-  for _ = 1 to instances do
-    let g = Gen.random_cycle rng n in
-    let inst =
-      match wiring with
-      | `Circulant -> Instance.kt0_circulant g
-      | `Random -> Instance.kt0_random rng g
-    in
-    (* One base execution per instance; crossed runs compare against it. *)
-    let base = Simulator.run ~seed algo inst in
-    let indist_from_base = Simulator.indistinguishable_from base in
-    let sent v = Transcript.sent_string base.Simulator.transcripts.(v) in
-    let same_budget = ref (match verify with `All -> max_int | `Sampled k -> k | `Off -> 0) in
-    let diff_budget = ref (match verify with `All -> max_int | `Sampled k -> k | `Off -> 0) in
-    match Cycles.of_graph g with
-    | None -> ()
-    | Some s ->
-      let edges = Array.of_list (directed_edges s) in
-      let m = Array.length edges in
-      for i = 0 to m - 1 do
-        for j = i + 1 to m - 1 do
-          let (v1, u1) = edges.(i) and (v2, u2) = edges.(j) in
-          if Instance.independent inst (v1, u1) (v2, u2) then begin
-            incr crossable;
-            let run_crossed () =
-              incr executed;
-              let crossed = Instance.cross inst (v1, u1) (v2, u2) in
-              indist_from_base crossed (Simulator.run ~seed algo crossed)
-            in
-            if sent v1 = sent v2 && sent u1 = sent u2 then begin
-              incr same_label;
-              if !same_budget > 0 then begin
-                decr same_budget;
-                incr verified;
-                if run_crossed () then incr indist else incr violations
-              end
-              else
-                (* Unverified same-label pairs are indistinguishable by
-                   Lemma 3.4 — the sampled executions spot-check it. *)
-                incr indist
-            end
-            else if !diff_budget > 0 then begin
-              decr diff_budget;
-              if not (run_crossed ()) then incr diff_dist
-            end
-          end
-        done
-      done
-  done;
-  Obs.Metrics.Counter.add pairs_metric !crossable;
-  Obs.Metrics.Counter.add executed_metric !executed;
-  Obs.Metrics.Counter.add verified_metric !verified;
-  { instances;
-    crossable_pairs = !crossable;
-    same_label_pairs = !same_label;
-    indistinguishable = !indist;
-    violations = !violations;
-    distinguishable_diff_label = !diff_dist;
-    executed = !executed;
-    verified = !verified }
+  tallied ~instances (fun tally ->
+      for _ = 1 to instances do
+        let g = Gen.random_cycle rng n in
+        let inst =
+          match wiring with
+          | `Circulant -> Instance.kt0_circulant g
+          | `Random -> Instance.kt0_random rng g
+        in
+        match Cycles.of_graph g with
+        | None -> ()
+        | Some s -> sweep tally ~seed ~verify algo inst s ~weight:1
+      done)

@@ -48,5 +48,5 @@ val check_reps :
     report, pair counts are weighted, [instances] = |V₁|, and
     [executed]/[verified] remain actual execution counts (the visible
     reduction factor). Sound under the same condition as
-    {!Indist_graph.build_orbit}.
+    {!Indist_graph.orbit_applicable}.
     @raise Invalid_argument for an ID-reading algorithm with rounds ≥ 1. *)

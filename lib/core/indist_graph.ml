@@ -7,19 +7,15 @@ open Bcclb_graph
    (active = head broadcasts x, tail broadcasts y during the t rounds of
    the algorithm).
 
-   Three construction paths exist. The orbit path (default wherever
-   sound) computes adjacency rows only on V₁'s rotation-class
-   representatives and reconstructs every other row through the arena's
-   V₂ handle permutations — a factor-≈n execution and crossing saving,
-   licensed exactly when transcripts are rotation-equivariant: anonymous
-   algorithms ({!Bcclb_bcc.Algo.anonymous}) and any algorithm at t = 0.
-   The packed path works over the interned Arena instance by instance:
+   One construction serves every algorithm, driven by an orbit atlas of
+   V₁. It computes adjacency rows on the atlas's representatives only —
    labels are machine-word codes, and each crossing successor is a hash
-   lookup of a packed canonical key — no Cycles.t allocation, no string
-   comparison in the inner loops. The reference path
-   ([build_reference]/[build_full_reference]) is the original
-   string-label implementation, kept verbatim as the parity oracle. All
-   three produce byte-identical graphs where their domains overlap. *)
+   lookup of a packed canonical key — and reconstructs every other row
+   through the arena's V₂ handle permutations. Where transcripts are
+   rotation-equivariant (anonymous algorithms, or t = 0) the atlas is
+   V₁'s rotation-orbit atlas: one execution and one crossing sweep per
+   rotation class. Elsewhere it is the trivial atlas — every handle its
+   own representative — and the same code runs instance by instance. *)
 
 type t = {
   n : int;
@@ -31,9 +27,24 @@ type t = {
   radj : int array array;  (* v2 index -> sorted distinct v1 indices *)
 }
 
-let active_positions sent cyc ~x ~y =
+type label = Same_label | Active of int * int
+
+(* The splitting-pair loop of Lemma 3.4: every position pair i < j of the
+   cycle whose crossing leaves both arcs with >= 3 vertices and whose
+   directed edges (cᵢ, cᵢ₊₁), (cⱼ, cⱼ₊₁) carry equal code labels — under
+   [Active (x, y)], only pairs whose first edge is (x, y)-active, which
+   makes the second one active too. [f i j smaller] receives the smaller
+   arc length. *)
+let iter_crossings label cyc codes f =
   let k = Array.length cyc in
-  List.filter (fun i -> sent.(cyc.(i)) = x && sent.(cyc.((i + 1) mod k)) = y) (Bcclb_util.Arrayx.range 0 k)
+  for i = 0 to k - 1 do
+    let hi = codes.(cyc.(i)) and ti = codes.(cyc.((i + 1) mod k)) in
+    let wanted = match label with Same_label -> true | Active (x, y) -> hi = x && ti = y in
+    if wanted then
+      for j = i + 3 to min (k - 1) (i + k - 3) do
+        if codes.(cyc.(j)) = hi && codes.(cyc.((j + 1) mod k)) = ti then f i j (min (j - i) (k - j + i))
+      done
+  done
 
 let dedup l =
   let a = Array.of_list l in
@@ -42,27 +53,34 @@ let dedup l =
   Array.iteri (fun i v -> if i = 0 || a.(i - 1) <> v then out := v :: !out) a;
   Array.of_list (List.rev !out)
 
-let finish ~n ~x ~y ~v1 ~v2 adj_sets =
-  let radj_sets = Array.make (Array.length v2) [] in
+let finish arena ~x ~y adj_sets =
+  let radj_sets = Array.make (Arena.n_two arena) [] in
   Array.iteri (fun i1 row -> List.iter (fun i2 -> radj_sets.(i2) <- i1 :: radj_sets.(i2)) row) adj_sets;
-  { n; x; y; v1; v2; adj = Array.map dedup adj_sets; radj = Array.map dedup radj_sets }
+  { n = Arena.n arena;
+    x;
+    y;
+    v1 = Arena.one_structures arena;
+    v2 = Arena.two_structures arena;
+    adj = Array.map dedup adj_sets;
+    radj = Array.map dedup radj_sets }
 
-(* Most frequent (head, tail) code label across all one-cycle edges.
-   Ties break on the DECODED string pair — int code order differs from
-   lexicographic string order ('_' sorts after '1' in ASCII but codes as
-   0), and the reference implementation fixed string order. *)
-let most_frequent_code ~rounds ?(weight = fun _ -> 1) codes1 one_cyc =
+(* Most frequent (head, tail) code label across all one-cycle edges,
+   each representative's edges counted with its orbit weight — an orbit
+   member's edge-label multiset is its representative's. Ties break on
+   the DECODED string pair: int code order differs from lexicographic
+   string order ('_' sorts after '1' in ASCII but codes as 0), and the
+   labels are presented as strings. *)
+let most_frequent_code ~rounds (o : Arena.orbit_one) codes rep_cycle =
   let tbl = Hashtbl.create 256 in
   Array.iteri
-    (fun i1 sent ->
-      let cyc = one_cyc i1 in
+    (fun ri sent ->
+      let cyc = rep_cycle ri in
       let k = Array.length cyc in
-      let w = weight i1 in
       for i = 0 to k - 1 do
         let lbl = (sent.(cyc.(i)), sent.(cyc.((i + 1) mod k))) in
-        Hashtbl.replace tbl lbl (w + Option.value ~default:0 (Hashtbl.find_opt tbl lbl))
+        Hashtbl.replace tbl lbl (o.Arena.weights.(ri) + Option.value ~default:0 (Hashtbl.find_opt tbl lbl))
       done)
-    codes1;
+    codes;
   let decode (cx, cy) = (Labels.string_of_code ~rounds cx, Labels.string_of_code ~rounds cy) in
   let best = ref None in
   Hashtbl.iter
@@ -76,282 +94,93 @@ let most_frequent_code ~rounds ?(weight = fun _ -> 1) codes1 one_cyc =
   | None -> invalid_arg "Indist_graph: no edge labels"
   | Some (lbl, _) -> lbl
 
-let build_packed ?(seed = 0) algo ~n ?xy () =
-  let arena = Arena.get ~n in
-  let rounds = Bcclb_bcc.Algo.rounds algo ~n in
-  let codes1 = Arena.codes arena ~seed algo in
-  let x, y =
-    match xy with
-    | Some (xs, ys) -> (Labels.code_of_string xs, Labels.code_of_string ys)
-    | None -> most_frequent_code ~rounds codes1 (Arena.one_cycle arena)
-  in
-  (* Each left vertex's edge row is independent (the arena's key table is
-     read-only here), so rows run on the pool; the reverse adjacency is
-     aggregated sequentially afterwards. *)
-  let adj_sets =
-    Bcclb_engine.Pool.tabulate (Arena.n_one arena) (fun i1 ->
-        let cyc = Arena.one_cycle arena i1 in
-        let sent = codes1.(i1) in
-        let k = Array.length cyc in
-        let actives = ref [] in
-        for i = k - 1 downto 0 do
-          if sent.(cyc.(i)) = x && sent.(cyc.((i + 1) mod k)) = y then actives := i :: !actives
-        done;
-        let actives = !actives in
-        let row = ref [] in
-        List.iter
-          (fun i ->
-            List.iter
-              (fun j ->
-                if i < j then begin
-                  let len1 = j - i and len2 = k - (j - i) in
-                  if len1 >= 3 && len2 >= 3 then row := Arena.cross_handle arena cyc i j :: !row
-                end)
-              actives)
-          actives;
-        !row)
-  in
-  finish ~n
-    ~x:(Labels.string_of_code ~rounds x)
-    ~y:(Labels.string_of_code ~rounds y)
-    ~v1:(Arena.one_structures arena) ~v2:(Arena.two_structures arena) adj_sets
-
-let build_full_packed ?(seed = 0) algo ~n () =
-  let arena = Arena.get ~n in
-  let codes1 = Arena.codes arena ~seed algo in
-  let adj_sets =
-    Bcclb_engine.Pool.tabulate (Arena.n_one arena) (fun i1 ->
-        let cyc = Arena.one_cycle arena i1 in
-        let sent = codes1.(i1) in
-        let k = Array.length cyc in
-        let row = ref [] in
-        for i = 0 to k - 1 do
-          for j = i + 1 to k - 1 do
-            let len1 = j - i and len2 = k - (j - i) in
-            if len1 >= 3 && len2 >= 3 then begin
-              (* Same-label condition of Lemma 3.4 for this directed pair. *)
-              let vi = cyc.(i) and ui = cyc.((i + 1) mod k) in
-              let vj = cyc.(j) and uj = cyc.((j + 1) mod k) in
-              if sent.(vi) = sent.(vj) && sent.(ui) = sent.(uj) then
-                row := Arena.cross_handle arena cyc i j :: !row
-            end
-          done
-        done;
-        !row)
-  in
-  finish ~n ~x:"*" ~y:"*" ~v1:(Arena.one_structures arena) ~v2:(Arena.two_structures arena) adj_sets
-
-(* ------------------------------------------------------------------ *)
-(* Orbit-reduced path. Rotations are automorphisms of the circulant
-   wiring, so when transcripts are rotation-equivariant the active pairs
-   of an orbit member are the rotation image of its representative's and
-   crossing commutes with rotation: the member's adjacency row is the
-   representative's row pushed through the V₂ handle permutation of its
-   shift. Rows are therefore computed once per representative — one
-   execution and one crossing sweep per rotation class — and every other
-   row reconstructed by table lookup. [finish] dedup-sorts all rows, so
-   the result is byte-identical to the per-instance packed path. *)
-
 let orbit_applicable algo ~n =
   Bcclb_bcc.Algo.anonymous algo || Bcclb_bcc.Algo.rounds algo ~n = 0
 
-(* Rep-index rows -> per-handle rows, through the rotation maps. *)
-let expand_orbit arena (o : Arena.orbit_one) rep_rows =
-  let rot =
-    Array.init (Arena.n arena) (fun c -> if c = 0 then [||] else Arena.rotation_map_two arena c)
-  in
-  Array.init (Arena.n_one arena) (fun h ->
-      let row = rep_rows.(o.Arena.rep_of.(h)) in
-      let c = o.Arena.shift_of.(h) in
-      if c = 0 then row else List.map (fun h2 -> rot.(c).(h2)) row)
+(* Every handle is its own representative: the per-instance path. *)
+let trivial_atlas arena =
+  let m = Arena.n_one arena in
+  { Arena.reps = Array.init m Fun.id;
+    weights = Array.make m 1;
+    rep_of = Array.init m Fun.id;
+    shift_of = Array.make m 0;
+    flip_of = Array.make m false }
 
-let build_orbit ?(seed = 0) algo ~n ?xy () =
+(* The atlas a build runs over, with broadcast codes indexed like its
+   [reps]: one execution per representative. *)
+let atlas ~who ~orbit ~seed algo ~n =
+  Arena.require_codable ~who algo ~n;
   let arena = Arena.get ~n in
-  let o = Arena.orbit_one arena in
+  if orbit then (arena, Arena.orbit_one arena, Arena.codes_reps arena ~seed algo)
+  else (arena, trivial_atlas arena, Arena.codes arena ~seed algo)
+
+(* One crossing sweep: the V₂ handles a representative's [label]
+   crossings reach. *)
+let row arena label cyc codes =
+  let r = ref [] in
+  iter_crossings label cyc codes (fun i j _ -> r := Arena.cross_handle arena cyc i j :: !r);
+  !r
+
+(* Rotations are automorphisms of the circulant wiring, so when
+   transcripts are rotation-equivariant an orbit member's active pairs
+   are the rotation image of its representative's, and crossing commutes
+   with rotation: the member's row is the representative's row pushed
+   through the V₂ handle permutation of its shift. [rep_row ri flip] is
+   the representative row a member reads; rotation maps are forced only
+   for shifts that occur, so the trivial atlas never builds one. *)
+let expand arena (o : Arena.orbit_one) rep_row =
+  let rot = Array.init (Arena.n arena) (fun c -> lazy (Arena.rotation_map_two arena c)) in
+  Array.init (Arena.n_one arena) (fun h ->
+      let row = rep_row o.Arena.rep_of.(h) o.Arena.flip_of.(h) in
+      match o.Arena.shift_of.(h) with
+      | 0 -> row
+      | c ->
+        let m = Lazy.force rot.(c) in
+        List.map (fun h2 -> m.(h2)) row)
+
+let labelled ~orbit ~seed algo ~n ?xy () =
+  let arena, o, codes = atlas ~who:"Indist_graph.build" ~orbit ~seed algo ~n in
   let rounds = Bcclb_bcc.Algo.rounds algo ~n in
-  let codes_r = Arena.codes_reps arena ~seed algo in
+  let rep_cycle ri = Arena.one_cycle arena o.Arena.reps.(ri) in
   let x, y =
     match xy with
     | Some (xs, ys) -> (Labels.code_of_string xs, Labels.code_of_string ys)
-    | None ->
-      (* Weighted counts equal the full-census counts: an orbit member's
-         edge-label multiset is its representative's, and ties still
-         break on decoded strings. *)
-      most_frequent_code ~rounds
-        ~weight:(fun ri -> o.Arena.weights.(ri))
-        codes_r
-        (fun ri -> Arena.one_cycle arena o.Arena.reps.(ri))
+    | None -> most_frequent_code ~rounds o codes rep_cycle
   in
   (* Crossing is orientation-free but the (x, y) label condition is not:
-     a member whose canonical traversal reverses the representative's has
-     the representative's (y, x)-active pairs. Compute both orientations
-     per representative (they coincide when x = y) and pick by the
-     atlas's flip bit during expansion. *)
-  let row_for cyc sent ~x ~y =
-    let k = Array.length cyc in
-    let actives = ref [] in
-    for i = k - 1 downto 0 do
-      if sent.(cyc.(i)) = x && sent.(cyc.((i + 1) mod k)) = y then actives := i :: !actives
-    done;
-    let actives = !actives in
-    let row = ref [] in
-    List.iter
-      (fun i ->
-        List.iter
-          (fun j ->
-            if i < j then begin
-              let len1 = j - i and len2 = k - (j - i) in
-              if len1 >= 3 && len2 >= 3 then row := Arena.cross_handle arena cyc i j :: !row
-            end)
-          actives)
-      actives;
-    !row
-  in
+     a member whose canonical traversal reverses the representative's
+     has the representative's (y, x)-active pairs. The orbit atlas
+     therefore computes both orientations per representative (they
+     coincide when x = y); expansion picks by the flip bit. *)
   let rep_rows =
     Bcclb_engine.Pool.tabulate (Array.length o.Arena.reps) (fun ri ->
-        let cyc = Arena.one_cycle arena o.Arena.reps.(ri) in
-        let sent = codes_r.(ri) in
-        let fwd = row_for cyc sent ~x ~y in
-        let rev = if x = y then fwd else row_for cyc sent ~x:y ~y:x in
+        let fwd = row arena (Active (x, y)) (rep_cycle ri) codes.(ri) in
+        let rev = if orbit && x <> y then row arena (Active (y, x)) (rep_cycle ri) codes.(ri) else fwd in
         (fwd, rev))
   in
-  let rot =
-    Array.init (Arena.n arena) (fun c -> if c = 0 then [||] else Arena.rotation_map_two arena c)
-  in
-  let adj_sets =
-    Array.init (Arena.n_one arena) (fun h ->
-        let fwd, rev = rep_rows.(o.Arena.rep_of.(h)) in
-        let row = if o.Arena.flip_of.(h) then rev else fwd in
-        let c = o.Arena.shift_of.(h) in
-        if c = 0 then row else List.map (fun h2 -> rot.(c).(h2)) row)
-  in
-  finish ~n
+  finish arena
     ~x:(Labels.string_of_code ~rounds x)
     ~y:(Labels.string_of_code ~rounds y)
-    ~v1:(Arena.one_structures arena) ~v2:(Arena.two_structures arena) adj_sets
+    (expand arena o (fun ri flip -> if flip then snd rep_rows.(ri) else fst rep_rows.(ri)))
 
-let build_full_orbit ?(seed = 0) algo ~n () =
-  let arena = Arena.get ~n in
-  let o = Arena.orbit_one arena in
-  let codes_r = Arena.codes_reps arena ~seed algo in
+let full ~orbit ~seed algo ~n () =
+  let arena, o, codes = atlas ~who:"Indist_graph.build_full" ~orbit ~seed algo ~n in
   let rep_rows =
     Bcclb_engine.Pool.tabulate (Array.length o.Arena.reps) (fun ri ->
-        let cyc = Arena.one_cycle arena o.Arena.reps.(ri) in
-        let sent = codes_r.(ri) in
-        let k = Array.length cyc in
-        let row = ref [] in
-        for i = 0 to k - 1 do
-          for j = i + 1 to k - 1 do
-            let len1 = j - i and len2 = k - (j - i) in
-            if len1 >= 3 && len2 >= 3 then begin
-              let vi = cyc.(i) and ui = cyc.((i + 1) mod k) in
-              let vj = cyc.(j) and uj = cyc.((j + 1) mod k) in
-              if sent.(vi) = sent.(vj) && sent.(ui) = sent.(uj) then
-                row := Arena.cross_handle arena cyc i j :: !row
-            end
-          done
-        done;
-        !row)
+        row arena Same_label (Arena.one_cycle arena o.Arena.reps.(ri)) codes.(ri))
   in
-  finish ~n ~x:"*" ~y:"*" ~v1:(Arena.one_structures arena) ~v2:(Arena.two_structures arena)
-    (expand_orbit arena o rep_rows)
+  finish arena ~x:"*" ~y:"*" (expand arena o (fun ri _ -> rep_rows.(ri)))
 
-(* ------------------------------------------------------------------ *)
-(* Reference (legacy) path: string labels, Cycles.t-keyed successor
-   lookup. Kept verbatim as the oracle the packed path is tested
-   against; also the fallback for algorithms whose broadcast sequences
-   do not pack into a word. *)
-
-let build_reference ?(seed = 0) algo ~n ?xy () =
-  let v1 = Census.one_cycles ~n in
-  let v2 = Census.two_cycles ~n in
-  let v2_index = Hashtbl.create (Array.length v2) in
-  Array.iteri (fun i s -> Hashtbl.add v2_index s i) v2;
-  (* One independent simulation per one-cycle instance: the hot inner
-     loop, run on the engine pool. *)
-  let sent1 = Bcclb_engine.Pool.map_batch (fun s -> Labels.sent_strings_legacy ~seed algo ~n s) v1 in
-  let x, y =
-    match xy with
-    | Some p -> p
-    | None ->
-      (* Most frequent label across all one-cycle instances. *)
-      let tbl = Hashtbl.create 256 in
-      Array.iteri
-        (fun idx s ->
-          List.iter
-            (fun (_, lbl) ->
-              Hashtbl.replace tbl lbl (1 + Option.value ~default:0 (Hashtbl.find_opt tbl lbl)))
-            (Labels.edge_labels sent1.(idx) s))
-        v1;
-      Labels.most_frequent_label tbl
-  in
-  let adj_sets =
-    Bcclb_engine.Pool.tabulate (Array.length v1) (fun i1 ->
-        let s = v1.(i1) in
-        let cyc = List.hd (Cycles.cycles s) in
-        let k = Array.length cyc in
-        let actives = active_positions sent1.(i1) cyc ~x ~y in
-        let row = ref [] in
-        List.iter
-          (fun i ->
-            List.iter
-              (fun j ->
-                if i < j then begin
-                  let len1 = j - i and len2 = k - (j - i) in
-                  if len1 >= 3 && len2 >= 3 then begin
-                    let s2 = Census.cross_one_cycle cyc i j in
-                    row := Hashtbl.find v2_index s2 :: !row
-                  end
-                end)
-              actives)
-          actives;
-        !row)
-  in
-  finish ~n ~x ~y ~v1 ~v2 adj_sets
-
-let build_full_reference ?(seed = 0) algo ~n () =
-  let v1 = Census.one_cycles ~n in
-  let v2 = Census.two_cycles ~n in
-  let v2_index = Hashtbl.create (Array.length v2) in
-  Array.iteri (fun i s -> Hashtbl.add v2_index s i) v2;
-  let adj_sets =
-    Bcclb_engine.Pool.map_batch
-      (fun s ->
-        let sent = Labels.sent_strings_legacy ~seed algo ~n s in
-        let cyc = List.hd (Cycles.cycles s) in
-        let k = Array.length cyc in
-        let row = ref [] in
-        for i = 0 to k - 1 do
-          for j = i + 1 to k - 1 do
-            let len1 = j - i and len2 = k - (j - i) in
-            if len1 >= 3 && len2 >= 3 then begin
-              let vi = cyc.(i) and ui = cyc.((i + 1) mod k) in
-              let vj = cyc.(j) and uj = cyc.((j + 1) mod k) in
-              if sent.(vi) = sent.(vj) && sent.(ui) = sent.(uj) then begin
-                let s2 = Census.cross_one_cycle cyc i j in
-                row := Hashtbl.find v2_index s2 :: !row
-              end
-            end
-          done
-        done;
-        !row)
-      v1
-  in
-  finish ~n ~x:"*" ~y:"*" ~v1 ~v2 adj_sets
+let build_packed ?(seed = 0) algo ~n ?xy () = labelled ~orbit:false ~seed algo ~n ?xy ()
+let build_full_packed ?(seed = 0) algo ~n () = full ~orbit:false ~seed algo ~n ()
 
 let build ?(seed = 0) algo ~n ?xy () =
   Bcclb_obs.span "indist.build" ~attrs:[ ("n", string_of_int n) ] (fun () ->
-      if n <= Arena.max_n && Arena.codable algo ~n then
-        if orbit_applicable algo ~n then build_orbit ~seed algo ~n ?xy ()
-        else build_packed ~seed algo ~n ?xy ()
-      else build_reference ~seed algo ~n ?xy ())
+      labelled ~orbit:(orbit_applicable algo ~n) ~seed algo ~n ?xy ())
 
 let build_full ?(seed = 0) algo ~n () =
   Bcclb_obs.span "indist.build_full" ~attrs:[ ("n", string_of_int n) ] (fun () ->
-      if n <= Arena.max_n && Arena.codable algo ~n then
-        if orbit_applicable algo ~n then build_full_orbit ~seed algo ~n ()
-        else build_full_packed ~seed algo ~n ()
-      else build_full_reference ~seed algo ~n ())
+      full ~orbit:(orbit_applicable algo ~n) ~seed algo ~n ())
 
 (* ------------------------------------------------------------------ *)
 

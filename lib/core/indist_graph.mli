@@ -19,41 +19,37 @@ type t = {
   radj : int array array;
 }
 
+type label =
+  | Same_label  (** Lemma 3.4's condition: the two edges carry equal labels. *)
+  | Active of int * int  (** Both edges carry this (head, tail) code label. *)
+
+val iter_crossings : label -> int array -> int array -> (int -> int -> int -> unit) -> unit
+(** [iter_crossings label cyc codes f] calls [f i j smaller] for every
+    position pair i < j of the cycle [cyc] whose crossing splits it into
+    two cycles of ≥ 3 vertices ([smaller] is the shorter's length) and
+    whose directed edges (cᵢ, cᵢ₊₁), (cⱼ, cⱼ₊₁) satisfy [label] under the
+    per-vertex broadcast [codes]: the one splitting-pair loop behind
+    every builder here and {!Quotient}. *)
+
 val build : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> ?xy:string * string -> unit -> t
 (** Run the (already truncated) algorithm and connect crossings of
     same-label active edge pairs. The label (x, y) defaults to the most
-    frequent one across V₁. Dispatches, when the algorithm is codable
-    and n ≤ {!Arena.max_n}, to the orbit-reduced path
-    ({!build_orbit}) wherever it is sound — anonymous algorithms
-    ({!Bcclb_bcc.Algo.anonymous}) or t = 0, whose transcripts are
-    rotation-equivariant — else to the per-instance packed path
-    ({!build_packed}); {!build_reference} otherwise. All paths produce
-    byte-identical graphs where their domains overlap. *)
-
-val build_orbit : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> ?xy:string * string -> unit -> t
-(** The orbit-reduced path, explicitly: one execution and one crossing
-    sweep per V₁ rotation class, member rows reconstructed through
-    {!Arena.rotation_map_two}. Sound only when transcripts are
-    rotation-equivariant — the {!build} dispatch checks
-    {!Bcclb_bcc.Algo.anonymous}; calling it directly on an ID-dependent
-    algorithm with t ≥ 1 silently computes the wrong graph. *)
+    frequent one across V₁. Where transcripts are rotation-equivariant
+    ({!orbit_applicable}) the algorithm runs once per V₁ rotation class
+    and every other row is the rotation image of its representative's;
+    elsewhere it runs as {!build_packed}. Both give identical graphs.
+    @raise Invalid_argument as {!Arena.require_codable}. *)
 
 val build_packed : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> ?xy:string * string -> unit -> t
-(** The per-instance packed path, explicitly (what {!build} uses for
-    codable ID-dependent algorithms) — the baseline the orbit bench
-    gate compares against. *)
-
-val build_reference : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> ?xy:string * string -> unit -> t
-(** The original string-label implementation, kept as the parity oracle
-    for {!build} and as the fallback for non-codable algorithms. *)
+(** The every-instance path, explicitly: one execution and one crossing
+    sweep per V₁ instance — what {!build} runs for ID-reading
+    algorithms, and the reference its rotation-reduced runs are tested
+    against. *)
 
 val orbit_applicable : 'o Bcclb_bcc.Algo.packed -> n:int -> bool
-(** Is the orbit-reduced path sound for this algorithm at this n —
-    i.e. are its transcripts rotation-equivariant? True for anonymous
+(** Is the orbit reduction sound for this algorithm at this n — i.e.
+    are its transcripts rotation-equivariant? True for anonymous
     algorithms and whenever the round bound is 0. *)
-
-val active_positions : string array -> int array -> x:string -> y:string -> int list
-(** Positions i of a cycle whose directed edge (cᵢ, cᵢ₊₁) is active. *)
 
 val num_edges : t -> int
 val degree_v1 : t -> int -> int
@@ -75,18 +71,11 @@ val k_matching : t -> k:int -> (int array * int array array) option
 val build_full : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> t
 (** The union of G^t_{x,y} over ALL label pairs: {I₁, I₂} is an edge iff
     some same-label active independent pair of I₁ crosses to I₂ — every
-    edge is an execution-indistinguishable pair (Lemma 3.4). Dispatch as
-    in {!build}. *)
-
-val build_full_orbit : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> t
-(** Orbit-reduced twin of {!build_full}; same soundness condition as
-    {!build_orbit}. *)
+    edge is an execution-indistinguishable pair (Lemma 3.4). Reduction
+    and refusal as in {!build}. *)
 
 val build_full_packed : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> t
-(** Per-instance packed twin of {!build_full}. *)
-
-val build_full_reference : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> t
-(** String-label oracle twin of {!build_full}. *)
+(** Every-instance twin of {!build_full}, as {!build_packed}. *)
 
 val certified_error_lb : t -> int * Bcclb_bignum.Ratio.t
 (** (matching size, certified error): a maximum matching in the full

@@ -48,33 +48,22 @@ type partial = {
 }
 
 let require_sound algo ~n =
-  if not (Algo.anonymous algo || Algo.rounds algo ~n = 0) then
+  if not (Indist_graph.orbit_applicable algo ~n) then
     invalid_arg
       (Printf.sprintf
          "Quotient: the orbit quotient is sound only for anonymous algorithms (or at rounds = \
           0); %S reads vertex IDs"
          (Algo.name algo));
-  if not (Arena.codable algo ~n) then
-    invalid_arg "Quotient: algorithm's broadcast sequences do not pack into machine-word codes"
+  Arena.require_codable ~who:"Quotient" algo ~n
 
 (* Degree computation for one representative, given its executed codes:
    enumerate independent same-label pairs, identify the crossed
    structure by its packed canonical key (no V₂ table — n <= 13 keys fit
    a word), and deduplicate by sorting (key, smaller-length) pairs. *)
 let process_rep p cyc sent ~weight =
-  let k = Array.length cyc in
   let row = ref [] in
-  for i = 0 to k - 1 do
-    for j = i + 1 to k - 1 do
-      let len1 = j - i and len2 = k - (j - i) in
-      if len1 >= 3 && len2 >= 3 then begin
-        let vi = cyc.(i) and ui = cyc.((i + 1) mod k) in
-        let vj = cyc.(j) and uj = cyc.((j + 1) mod k) in
-        if sent.(vi) = sent.(vj) && sent.(ui) = sent.(uj) then
-          row := (Arena.cross_key cyc i j, min len1 len2) :: !row
-      end
-    done
-  done;
+  Indist_graph.iter_crossings Indist_graph.Same_label cyc sent (fun i j smaller ->
+      row := (Arena.cross_key cyc i j, smaller) :: !row);
   let row = Array.of_list !row in
   Array.sort compare row;
   let deg = ref 0 in

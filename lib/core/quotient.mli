@@ -6,7 +6,7 @@
     ({!Arena.Orbit}); the right side is never materialised — crossing
     successors are identified by packed canonical keys and |V₂|, |Tᵢ|
     come from {!Census}'s closed forms. Sound under the same condition
-    as {!Indist_graph.build_orbit}: rotation-equivariant transcripts
+    as {!Indist_graph.orbit_applicable}: rotation-equivariant transcripts
     (anonymous algorithms, or rounds = 0). Peak memory is one segment
     plus one adjacency row, which is what carries the exhaustive §3
     pipeline to n = 13. *)

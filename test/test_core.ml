@@ -212,32 +212,67 @@ let test_crossing_check_verify_modes () =
   Alcotest.(check int) "all verifies everything" all.Crossing_check.same_label_pairs
     all.Crossing_check.verified
 
-(* The packed arena path must be bit-for-bit interchangeable with the
-   reference implementation: same label pair, same census orders, same
-   adjacency. n=7 keeps |V1| = 360 so three truncation depths stay fast. *)
+(* The production builders must be bit-for-bit interchangeable with the
+   string-label oracle: same label pair, same census orders, same
+   adjacency. n=7 keeps |V1| = 360 so three truncation depths stay fast;
+   n=8 t=2 is the larger census check. *)
+let parity_inputs = [ (7, 0); (7, 1); (7, 2); (8, 2) ]
+
 let test_indist_build_parity () =
-  let n = 7 in
   List.iter
-    (fun t ->
+    (fun (n, t) ->
       let algo = truncated ~rounds:t in
       let p = Indist_graph.build algo ~n () in
-      let r = Indist_graph.build_reference algo ~n () in
-      Alcotest.(check string) (Printf.sprintf "x t=%d" t) r.Indist_graph.x p.Indist_graph.x;
-      Alcotest.(check string) (Printf.sprintf "y t=%d" t) r.Indist_graph.y p.Indist_graph.y;
-      Alcotest.(check bool) (Printf.sprintf "adj t=%d" t) true (p.Indist_graph.adj = r.Indist_graph.adj);
-      Alcotest.(check bool) (Printf.sprintf "radj t=%d" t) true (p.Indist_graph.radj = r.Indist_graph.radj))
-    [ 0; 1; 2 ]
+      let r = Indist_reference.build_reference algo ~n () in
+      let at = Printf.sprintf "n=%d t=%d" n t in
+      Alcotest.(check string) ("x " ^ at) r.Indist_graph.x p.Indist_graph.x;
+      Alcotest.(check string) ("y " ^ at) r.Indist_graph.y p.Indist_graph.y;
+      Alcotest.(check bool) ("adj " ^ at) true (p.Indist_graph.adj = r.Indist_graph.adj);
+      Alcotest.(check bool) ("radj " ^ at) true (p.Indist_graph.radj = r.Indist_graph.radj))
+    parity_inputs
 
 let test_indist_build_full_parity () =
-  let n = 7 in
   List.iter
-    (fun t ->
+    (fun (n, t) ->
       let algo = truncated ~rounds:t in
       let p = Indist_graph.build_full algo ~n () in
-      let r = Indist_graph.build_full_reference algo ~n () in
-      Alcotest.(check bool) (Printf.sprintf "adj t=%d" t) true (p.Indist_graph.adj = r.Indist_graph.adj);
-      Alcotest.(check bool) (Printf.sprintf "radj t=%d" t) true (p.Indist_graph.radj = r.Indist_graph.radj))
-    [ 0; 1; 2 ]
+      let r = Indist_reference.build_full_reference algo ~n () in
+      let at = Printf.sprintf "n=%d t=%d" n t in
+      Alcotest.(check bool) ("adj " ^ at) true (p.Indist_graph.adj = r.Indist_graph.adj);
+      Alcotest.(check bool) ("radj " ^ at) true (p.Indist_graph.radj = r.Indist_graph.radj))
+    parity_inputs
+
+(* Past 31 rounds a broadcast sequence no longer packs into a word: the
+   code-label consumers refuse rather than compute on truncated codes. *)
+let test_non_codable_refused () =
+  let n = 7 in
+  let module Algo = Bcclb_bcc.Algo in
+  let chatter =
+    Algo.bcc1 ~name:"chatter-40"
+      ~rounds:(fun ~n:_ -> 40)
+      ~init:(fun _ -> ())
+      ~step:(fun () ~round ~inbox:_ -> ((), Bcclb_bcc.Msg.of_bit (round mod 2 = 0)))
+      ~finish:(fun () ~inbox:_ -> true)
+  in
+  let algo = Algo.pack (Algo.truncate ~rounds:32 chatter) in
+  Alcotest.(check bool) "not codable" false (Arena.codable algo ~n);
+  let names_algo msg =
+    let want = Algo.name algo in
+    let w = String.length want in
+    let rec at i = i + w <= String.length msg && (String.sub msg i w = want || at (i + 1)) in
+    at 0
+  in
+  let refuses name f =
+    Alcotest.(check bool) (name ^ " refuses, naming the algorithm") true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument msg -> names_algo msg)
+  in
+  refuses "build" (fun () -> Indist_graph.build algo ~n ());
+  refuses "build_full" (fun () -> Indist_graph.build_full algo ~n ());
+  refuses "largest_active_set" (fun () ->
+      Labels.largest_active_set algo ~n (Census.one_cycles ~n).(0))
 
 (* Arena invariants: interned censuses match Census order; every
    two-cycle key resolves to its own handle; cross_key computes the
@@ -410,6 +445,7 @@ let suites =
     Alcotest.test_case "crossing verify modes agree" `Slow test_crossing_check_verify_modes;
     Alcotest.test_case "packed build = reference" `Slow test_indist_build_parity;
     Alcotest.test_case "packed build_full = reference" `Slow test_indist_build_full_parity;
+    Alcotest.test_case "non-codable algorithm refused" `Quick test_non_codable_refused;
     Alcotest.test_case "arena interning" `Quick test_arena_interning;
     Alcotest.test_case "arena cross_key" `Quick test_arena_cross_key;
     Alcotest.test_case "Lemma 3.7 neighbour structure" `Slow test_lemma_3_7_neighbor_structure;

@@ -336,12 +336,12 @@ let test_id_reading_not_equivariant_gate () =
 
 (* ---- orbit-reduced builds: parity with the packed path ---- *)
 
-let test_build_orbit_parity () =
+let test_build_anonymous_parity () =
   let n = 8 in
   List.iter
     (fun t ->
       let algo = anonymous ~rounds:t in
-      let o = Indist_graph.build_orbit algo ~n () in
+      let o = Indist_graph.build algo ~n () in
       let p = Indist_graph.build_packed algo ~n () in
       Alcotest.(check string) (Printf.sprintf "x t=%d" t) p.Indist_graph.x o.Indist_graph.x;
       Alcotest.(check string) (Printf.sprintf "y t=%d" t) p.Indist_graph.y o.Indist_graph.y;
@@ -350,12 +350,12 @@ let test_build_orbit_parity () =
     (* t=3 has x <> y at n=8, exercising the orientation-flip row swap. *)
     [ 0; 1; 3 ]
 
-let test_build_full_orbit_parity () =
+let test_build_full_anonymous_parity () =
   let n = 8 in
   List.iter
     (fun t ->
       let algo = anonymous ~rounds:t in
-      let o = Indist_graph.build_full_orbit algo ~n () in
+      let o = Indist_graph.build_full algo ~n () in
       let p = Indist_graph.build_full_packed algo ~n () in
       Alcotest.(check bool) (Printf.sprintf "adj t=%d" t) true (o.Indist_graph.adj = p.Indist_graph.adj);
       Alcotest.(check bool) (Printf.sprintf "radj t=%d" t) true (o.Indist_graph.radj = p.Indist_graph.radj))
@@ -363,12 +363,30 @@ let test_build_full_orbit_parity () =
 
 let test_build_dispatch_through_orbit () =
   (* The public build/build_full must route the anonymous family through
-     the orbit path and still agree with the reference implementation. *)
+     the orbit atlas and still agree with the string-label oracle. *)
   let n = 7 in
   let algo = anonymous ~rounds:2 in
   let g = Indist_graph.build_full algo ~n () in
-  let r = Indist_graph.build_full_reference algo ~n () in
+  let r = Indist_reference.build_full_reference algo ~n () in
   Alcotest.(check bool) "dispatch parity" true (g.Indist_graph.adj = r.Indist_graph.adj)
+
+let test_build_dispatch_reduces () =
+  (* The orbit atlas must really save the executions: one per rotation
+     class, against one per instance on the every-instance path. The
+     seed is used nowhere else, so neither execution memo is warm. *)
+  let n = 8 and seed = 4099 in
+  let algo = anonymous ~rounds:2 in
+  let a = Arena.get ~n in
+  let runs f =
+    let before = Bcclb_engine.Engine.run_count () in
+    ignore (f ());
+    Bcclb_engine.Engine.run_count () - before
+  in
+  Alcotest.(check int) "build_full: one run per rotation class"
+    (Array.length (Arena.orbit_one a).Arena.reps)
+    (runs (fun () -> Indist_graph.build_full ~seed algo ~n ()));
+  Alcotest.(check int) "build_full_packed: one run per instance" (Arena.n_one a)
+    (runs (fun () -> Indist_graph.build_full_packed ~seed algo ~n ()))
 
 (* ---- quotient streaming parity ---- *)
 
@@ -458,9 +476,10 @@ let suites =
     Alcotest.test_case "adjacency broadcast exact" `Slow test_adjacency_broadcast_exact;
     Alcotest.test_case "rotation equivariance" `Slow test_adjacency_broadcast_rotation_equivariant;
     Alcotest.test_case "orbit applicability gate" `Quick test_id_reading_not_equivariant_gate;
-    Alcotest.test_case "build_orbit = build_packed" `Slow test_build_orbit_parity;
-    Alcotest.test_case "build_full_orbit = build_full_packed" `Slow test_build_full_orbit_parity;
+    Alcotest.test_case "build (anonymous) = packed" `Slow test_build_anonymous_parity;
+    Alcotest.test_case "build_full (anonymous) = packed" `Slow test_build_full_anonymous_parity;
     Alcotest.test_case "dispatch routes orbit" `Slow test_build_dispatch_through_orbit;
+    Alcotest.test_case "dispatch runs one per orbit" `Slow test_build_dispatch_reduces;
     Alcotest.test_case "quotient streaming parity" `Slow test_quotient_parity;
     Alcotest.test_case "quotient soundness gate" `Quick test_quotient_rejects_unsound;
     Alcotest.test_case "check_reps weighted sweep" `Slow test_check_reps_weighted;
