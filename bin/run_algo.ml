@@ -1,5 +1,6 @@
 (* A command-line driver: run any implemented BCC algorithm on a
-   generated instance and report the outcome, rounds, and traffic.
+   generated instance and report the outcome, rounds, traffic, and the
+   run's wall time and allocated words (minor + major − promoted).
 
      dune exec bin/run_algo.exe -- --algo discovery-kt0 --graph two-cycles --n 32
 *)
@@ -66,7 +67,14 @@ let algos =
               ~params:{ Bcclb_algorithms.Mt_connectivity.s0 = 4; phases = 2; bandwidth = 1 }
               ()) } );
     ( "always-yes",
-      { algo_name = "always-yes"; knowledge = Instance.KT0; build = Bcclb_algorithms.Trivial.always_yes } ) ]
+      { algo_name = "always-yes"; knowledge = Instance.KT0; build = Bcclb_algorithms.Trivial.always_yes } );
+    ( "chatter",
+      { algo_name = "chatter";
+        knowledge = Instance.KT1;
+        build =
+          (* 30 rounds of one parity bit and no decision logic: the
+             engine-only loop, so the timing below is the exchange's. *)
+          (fun () -> Bcclb_algorithms.Trivial.chatter ~rounds:30 ()) } ) ]
 
 let graphs = [ "cycle"; "two-cycles"; "multicycle"; "gnp"; "connected"; "bounded-degree" ]
 
@@ -95,7 +103,12 @@ let run algo_key graph_kind n seed =
       | Instance.KT1 -> Instance.kt1_of_graph g
     in
     let algo = spec.build () in
+    let minor0, promoted0, major0 = Gc.counters () in
+    let elapsed = Bcclb_obs.Mclock.counter () in
     let result = Simulator.run ~seed algo inst in
+    let wall_s = elapsed () in
+    let minor1, promoted1, major1 = Gc.counters () in
+    let allocated = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
     let decision = Problems.system_decision result.Simulator.outputs in
     let truth = Graph.is_connected g in
     Printf.printf "algorithm   : %s\n" (Bcclb_bcc.Algo.name algo);
@@ -106,6 +119,7 @@ let run algo_key graph_kind n seed =
       (Graph.num_components g);
     Printf.printf "rounds      : %d\n" result.Simulator.rounds_used;
     Printf.printf "bits sent   : %d (all vertices)\n" (Simulator.total_bits_broadcast result);
+    Printf.printf "run         : %.3f s wall, %.0f words allocated\n" wall_s allocated;
     Printf.printf "decision    : %s (ground truth: %s) -> %s\n"
       (if decision then "CONNECTED" else "DISCONNECTED")
       (if truth then "CONNECTED" else "DISCONNECTED")

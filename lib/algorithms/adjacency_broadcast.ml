@@ -22,7 +22,7 @@ open Bcclb_graph
 
 type state = {
   view : View.t;
-  heard : bool array array;  (* heard.(p).(s): port s of the sender behind port p *)
+  heard : Bytes.t;  (* byte p·(n−1) + s: port s of the sender behind port p carries an edge *)
   rounds_done : int;
 }
 
@@ -33,7 +33,8 @@ let relative_edges st ~known_ports =
      further s+1 steps clockwise. *)
   for p = 0 to n - 2 do
     for s = 0 to known_ports - 1 do
-      if st.heard.(p).(s) then edges := (p + 1, (p + s + 2) mod n) :: !edges
+      if Bytes.get st.heard ((p * (n - 1)) + s) <> '\000' then
+        edges := (p + 1, (p + s + 2) mod n) :: !edges
     done
   done;
   (* Own broadcasts, heard by everyone including (conceptually) self:
@@ -71,31 +72,27 @@ let make ~name ~optimist =
   let rounds ~n = n - 1 in
   let init view =
     let ports = View.num_ports view in
-    { view;
-      heard = Bcclb_util.Arrayx.init_matrix ports ports (fun _ _ -> false);
-      rounds_done = 0 }
+    { view; heard = Bytes.make (ports * ports) '\000'; rounds_done = 0 }
+  in
+  (* The inbox of round s+2: on port p, whether port s of the sender
+     behind p carries an input edge. *)
+  let absorb st ~s inbox =
+    let ports = View.num_ports st.view in
+    for p = 0 to ports - 1 do
+      match Inbox.get inbox p with
+      | Msg.Word b when Bcclb_util.Bits.to_bool b -> Bytes.set st.heard ((p * ports) + s) '\001'
+      | Msg.Word _ | Msg.Silent -> ()
+    done
   in
   let step st ~round ~inbox =
     (* inbox carries round-1 broadcasts: the bit for the sender's port round-2. *)
-    if round >= 2 then
-      Array.iteri
-        (fun p m ->
-          match m with
-          | Msg.Word b -> st.heard.(p).(round - 2) <- Bcclb_util.Bits.to_bool b
-          | Msg.Silent -> ())
-        inbox;
+    if round >= 2 then absorb st ~s:(round - 2) inbox;
     ({ st with rounds_done = round }, Msg.of_bit (View.is_input_port st.view (round - 1)))
   in
   let finish st ~inbox =
     let n = View.n st.view in
     let t = st.rounds_done in
-    if t >= 1 then
-      Array.iteri
-        (fun p m ->
-          match m with
-          | Msg.Word b -> st.heard.(p).(t - 1) <- Bcclb_util.Bits.to_bool b
-          | Msg.Silent -> ())
-        inbox;
+    if t >= 1 then absorb st ~s:(t - 1) inbox;
     let edges = relative_edges st ~known_ports:t in
     if t >= n - 1 then Graph.is_connected (Graph.of_edges ~n edges)
     else infer ~n ~optimist edges

@@ -80,5 +80,5 @@ let components ?bandwidth () =
     (make ~name:"adjacency-matrix-components" ?bandwidth
        ~finish_of_graph:(fun st g ->
          let labels = Graph.components g in
-         (View.all_ids st.view).(labels.(Chunked.index_of_id st.view (View.id st.view))))
+         View.id_at st.view (labels.(Chunked.index_of_id st.view (View.id st.view))))
        ())

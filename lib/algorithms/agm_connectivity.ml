@@ -197,5 +197,5 @@ let components ?bandwidth () =
     (make ~name:"agm-sketch-components" ?bandwidth
        ~finish_of_decoded:(fun st ~me d ->
          (* Label: the smallest member ID of our component. *)
-         (View.all_ids st.view).(d.labels.(me)))
+         View.id_at st.view (d.labels.(me)))
        ())

@@ -41,7 +41,7 @@ let reverse ~width v =
   (!r lsl !left) lor (reversed_byte.(!v) lsr (8 - !left))
 
 let absorb ~into inbox =
-  Array.iteri
+  Inbox.iteri
     (fun p m ->
       match m with
       | Msg.Word w ->

@@ -25,7 +25,7 @@ val emit : bits:string -> bandwidth:int -> chunk:int -> Bcclb_bcc.Msg.t
 val accumulators : ports:int -> bits:int -> Bcclb_util.Bits.Seq.seq array
 (** Fresh empty per-port accumulators sized for [bits]-bit payloads. *)
 
-val absorb : into:Bcclb_util.Bits.Seq.seq array -> Bcclb_bcc.Msg.t array -> unit
+val absorb : into:Bcclb_util.Bits.Seq.seq array -> Bcclb_bcc.Msg.t Bcclb_bcc.Inbox.t -> unit
 (** Append each port's received word to its accumulator, most
     significant bit first (silent ports contribute nothing). *)
 

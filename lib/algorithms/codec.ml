@@ -44,7 +44,7 @@ let broadcast_sequences ~num_ports ~inboxes =
   let seqs = Array.make num_ports [||] in
   for p = 0 to num_ports - 1 do
     let arr = Array.make t Msg.Silent in
-    List.iteri (fun i inbox -> arr.(i) <- inbox.(p)) all;
+    List.iteri (fun i inbox -> arr.(i) <- Inbox.get inbox p) all;
     seqs.(p) <- arr
   done;
   seqs

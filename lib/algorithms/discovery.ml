@@ -16,7 +16,7 @@ type state = {
   view : View.t;
   l : int;
   d : int;
-  inboxes : Msg.t array list;  (* newest first *)
+  inboxes : Msg.t Inbox.t list;  (* newest first *)
   own_ids : int list;
       (* IDs of this vertex's input-graph neighbours, in input-port order.
          In KT-1 they are initial knowledge; in KT-0 they are decoded once,

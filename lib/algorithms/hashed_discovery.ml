@@ -45,7 +45,7 @@ let absorb st inbox =
   if st.inboxes >= 1 && st.inboxes <= 3 * st.k then
     for p = 0 to Array.length st.heard - 1 do
       let bit, quiet =
-        match inbox.(p) with Msg.Silent -> (0, 1) | Msg.Word b -> (Bool.to_int (Bits.to_bool b), 0)
+        match Inbox.get inbox p with Msg.Silent -> (0, 1) | Msg.Word b -> (Bool.to_int (Bits.to_bool b), 0)
       in
       st.heard.(p) <- (st.heard.(p) lsl 1) lor bit;
       st.silent.(p) <- (st.silent.(p) lsl 1) lor quiet

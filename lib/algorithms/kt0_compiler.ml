@@ -15,7 +15,7 @@ open Bcclb_bcc
    wiring; KT-1 algorithms only ever rely on knowing the ID behind each
    port, never on the ID-sorted wiring convention, so they run unchanged. *)
 
-type ('s, 'v) phase = Learning of Msg.t array list (* inboxes, newest first *) | Running of 's
+type ('s, 'v) phase = Learning of Msg.t Inbox.t list (* inboxes, newest first *) | Running of 's
 
 type ('s, 'v) state = { view : View.t; l : int; chunk : int; phase : ('s, 'v) phase }
 
@@ -50,7 +50,7 @@ let compile (Algo.Packed a) =
       Array.init num_ports (fun p ->
           List.fold_left
             (fun acc inbox ->
-              match inbox.(p) with
+              match Inbox.get inbox p with
               | Msg.Silent -> acc
               | Msg.Word w -> (acc lsl Bcclb_util.Bits.width w) lor Bcclb_util.Bits.value w)
             0 (List.rev inboxes))
@@ -71,7 +71,7 @@ let compile (Algo.Packed a) =
         (* First inner round: [inbox] carries the final ID chunks. *)
         let kt1_view = synthesize st (inbox :: inboxes) in
         let inner = a.Algo.init kt1_view in
-        let silent = Array.make (View.num_ports st.view) Msg.silent in
+        let silent = Inbox.make (View.num_ports st.view) Msg.silent in
         let inner', msg = a.Algo.step inner ~round:1 ~inbox:silent in
         ({ st with phase = Running inner' }, msg)
       end
@@ -87,7 +87,7 @@ let compile (Algo.Packed a) =
          and finish immediately. *)
       let kt1_view = synthesize st (inbox :: inboxes) in
       let inner = a.Algo.init kt1_view in
-      a.Algo.finish inner ~inbox:(Array.make (View.num_ports st.view) Msg.silent)
+      a.Algo.finish inner ~inbox:(Inbox.make (View.num_ports st.view) Msg.silent)
   in
   Algo.pack { Algo.name; anonymous = false; bandwidth; rounds; init; step; finish }
 

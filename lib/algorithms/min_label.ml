@@ -14,7 +14,7 @@ type state = {
   l : int;
   phases : int;
   label : int;
-  acc : Msg.t array list;  (* inboxes of the current phase, newest first *)
+  acc : Msg.t Inbox.t list;  (* inboxes of the current phase, newest first *)
 }
 
 let decode_phase_labels st =
@@ -23,7 +23,7 @@ let decode_phase_labels st =
   let inboxes = List.rev st.acc in
   let num_ports = View.num_ports st.view in
   let labels = Array.make num_ports None in
-  let seq p = Array.of_list (List.map (fun inbox -> inbox.(p)) inboxes) in
+  let seq p = Array.of_list (List.map (fun inbox -> Inbox.get inbox p) inboxes) in
   for p = 0 to num_ports - 1 do
     let v, ok = Codec.decode_int ~first:1 ~width:st.l (seq p) in
     labels.(p) <- (if ok then Some v else None)

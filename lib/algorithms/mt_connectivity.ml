@@ -282,5 +282,5 @@ let connectivity ?params () =
 let components ?params () =
   Algo.pack
     (make ~name:"mt-syndrome-components" ?params
-       ~finish_of_snapshot:(fun st snap -> (View.all_ids st.view).(snap.labels.(st.me)))
+       ~finish_of_snapshot:(fun st snap -> View.id_at st.view (snap.labels.(st.me)))
        ())

@@ -29,10 +29,12 @@ type ('s, 'o) t = {
   bandwidth : n:int -> int;  (** b; the simulator rejects wider messages. *)
   rounds : n:int -> int;  (** Declared round bound T(n). *)
   init : View.t -> 's;
-  step : 's -> round:int -> inbox:Msg.t array -> 's * Msg.t;
-      (** Rounds are numbered 1..T; [inbox.(p)] is the message that
-          arrived through port [p] (all-[Silent] in round 1). *)
-  finish : 's -> inbox:Msg.t array -> 'o;
+  step : 's -> round:int -> inbox:Msg.t Inbox.t -> 's * Msg.t;
+      (** Rounds are numbered 1..T; [Inbox.get inbox p] is the message
+          that arrived through port [p] (all-[Silent] in round 1). The
+          inbox shares the round's emission array with every other
+          vertex's: read it, keep it, never mutate it ({!Inbox}). *)
+  finish : 's -> inbox:Msg.t Inbox.t -> 'o;
       (** Final output, consuming the round-T broadcasts. *)
 }
 
@@ -56,8 +58,8 @@ val bcc1 :
   name:string ->
   rounds:(n:int -> int) ->
   init:(View.t -> 's) ->
-  step:('s -> round:int -> inbox:Msg.t array -> 's * Msg.t) ->
-  finish:('s -> inbox:Msg.t array -> 'o) ->
+  step:('s -> round:int -> inbox:Msg.t Inbox.t -> 's * Msg.t) ->
+  finish:('s -> inbox:Msg.t Inbox.t -> 'o) ->
   ('s, 'o) t
 (** Convenience constructor with bandwidth fixed to 1 bit and
     [anonymous = false] (the safe declaration). *)

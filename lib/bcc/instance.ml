@@ -10,6 +10,7 @@ type t = {
   peer : int array array;
   port_to : int array array;
   input : bool array array;
+  sorted_ids : int array;  (* KT-1: the IDs sorted once, shared by every view; [||] in KT-0 *)
 }
 
 let knowledge t = t.knowledge
@@ -18,6 +19,8 @@ let ids t = Array.copy t.ids
 let id_of t v = t.ids.(v)
 
 let peer t v p = t.peer.(v).(p)
+
+let ports t v = t.peer.(v)
 
 let port_to t v u =
   let p = t.port_to.(v).(u) in
@@ -91,13 +94,20 @@ let circulant_peer n = Arrayx.init_matrix n (n - 1) (fun v p -> (v + p + 1) mod 
 
 let default_ids n = Array.init n (fun v -> v + 1)
 
+(* A validated instance over the wiring [peer]; in KT-1 the IDs are
+   sorted here once, for every view to share. *)
+let of_wiring knowledge ~ids peer g =
+  let n = Graph.n g in
+  let sorted_ids = if knowledge = KT1 then Array.copy ids else [||] in
+  Array.sort Int.compare sorted_ids;
+  let port_to = make_port_to ~n peer and input = input_of_graph ~n peer g in
+  validate { knowledge; n; ids; peer; port_to; input; sorted_ids }
+
 let kt0_circulant ?ids g =
   let n = Graph.n g in
   if n < 2 then invalid_arg "Instance.kt0_circulant: need at least 2 vertices";
   let ids = match ids with Some a -> Array.copy a | None -> default_ids n in
-  let peer = circulant_peer n in
-  validate
-    { knowledge = KT0; n; ids; peer; port_to = make_port_to ~n peer; input = input_of_graph ~n peer g }
+  of_wiring KT0 ~ids (circulant_peer n) g
 
 (* Census sweeps build one circulant instance per enumerated structure;
    the clique tables and IDs depend only on n, so build them once and
@@ -119,7 +129,7 @@ let kt0_circulant_sweep n =
           let a, b = neighbors.(v) in
           Array.map (fun u -> u = a || u = b) peer.(v))
     in
-    { knowledge = KT0; n; ids; peer; port_to; input }
+    { knowledge = KT0; n; ids; peer; port_to; input; sorted_ids = [||] }
 
 let kt0_random ?ids rng g =
   let n = Graph.n g in
@@ -130,8 +140,7 @@ let kt0_random ?ids rng g =
   let base = circulant_peer n in
   let perms = Array.init n (fun _ -> Rng.permutation rng (n - 1)) in
   let peer = Arrayx.init_matrix n (n - 1) (fun v p -> base.(v).(perms.(v).(p))) in
-  validate
-    { knowledge = KT0; n; ids; peer; port_to = make_port_to ~n peer; input = input_of_graph ~n peer g }
+  of_wiring KT0 ~ids peer g
 
 let kt1_of_graph ?ids g =
   let n = Graph.n g in
@@ -143,8 +152,7 @@ let kt1_of_graph ?ids g =
         Array.sort (fun a b -> Int.compare ids.(a) ids.(b)) others;
         others)
   in
-  validate
-    { knowledge = KT1; n; ids; peer; port_to = make_port_to ~n peer; input = input_of_graph ~n peer g }
+  of_wiring KT1 ~ids peer g
 
 let input_graph t =
   let edges = ref [] in
@@ -160,10 +168,7 @@ let view ?(coins_seed = 0) t v =
   let kt1 =
     match t.knowledge with
     | KT0 -> None
-    | KT1 ->
-      let all = Array.copy t.ids in
-      Array.sort Int.compare all;
-      Some { View.all_ids = all; neighbor_ids = Array.map (fun u -> t.ids.(u)) t.peer.(v) }
+    | KT1 -> Some { View.all_ids = t.sorted_ids; neighbor_ids = Array.map (fun u -> t.ids.(u)) t.peer.(v) }
   in
   { View.n = t.n;
     id = t.ids.(v);

@@ -23,6 +23,11 @@ val id_of : t -> int -> int
 val peer : t -> int -> int -> int
 (** [peer t v p]: the vertex at the far end of port [p] of vertex [v]. *)
 
+val ports : t -> int -> int array
+(** [ports t v]: vertex [v]'s port row, [(ports t v).(p) = peer t v p].
+    The instance's own table, not a copy: the broadcast exchange reads
+    every inbox through it. Never mutate it. *)
+
 val port_to : t -> int -> int -> int
 (** [port_to t v u]: the port of [v] whose far end is [u].
     @raise Invalid_argument if [u = v]. *)
@@ -59,7 +64,9 @@ val input_graph : t -> Bcclb_graph.Graph.t
 
 val view : ?coins_seed:int -> t -> int -> View.t
 (** Initial knowledge of vertex [v]; every vertex of a run must receive
-    the same [coins_seed] (public-coin model). *)
+    the same [coins_seed] (public-coin model). In KT-1 the sorted ID
+    array [View.all_ids] of the {!View.kt1_info} is computed once per
+    instance and shared by every view: never mutate it. *)
 
 val validate : t -> t
 (** Re-check all structural invariants (clique wiring, symmetric port

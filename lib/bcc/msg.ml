@@ -7,7 +7,8 @@ let silent = Silent
 let zero = Word (Bits.of_bool false)
 let one = Word (Bits.of_bool true)
 
-let of_bit b = Word (Bits.of_bool b)
+(* The two 1-bit words are shared: a BCC(1) broadcast allocates nothing. *)
+let of_bit b = if b then one else zero
 
 let of_bits b = Word b
 

@@ -15,6 +15,23 @@ let check_width ~b ~round ~vertex msg =
       (Printf.sprintf "Simulator: vertex %d broadcast %d bits in round %d (bandwidth %d)" vertex
          (Msg.width msg) round b)
 
+(* The BCC round loop both entry points drive, and its round-1 inboxes:
+   one all-silent emission array seen through every port row. *)
+let broadcast_spec a inst ~rounds =
+  let n = Instance.n inst in
+  { Engine.n;
+    rounds;
+    step = (fun state ~round ~vertex:_ ~inbox -> a.Algo.step state ~round ~inbox);
+    exchange = Topology.broadcast ~n ~ports:(Instance.ports inst) }
+
+let silent_inbox inst =
+  let silent = Array.make (Instance.n inst) Msg.silent in
+  fun v -> Inbox.of_emissions silent ~ports:(Instance.ports inst v)
+
+(* Every vertex hears the same n broadcasts, so a round costs O(n): the
+   exchange shares the emission array ([Topology.broadcast]), and the
+   transcripts read the sent record through each vertex's port row
+   instead of keeping every inbox. *)
 let run ?(seed = 0) (Algo.Packed a) inst =
   let n = Instance.n inst in
   let b = a.Algo.bandwidth ~n in
@@ -22,27 +39,21 @@ let run ?(seed = 0) (Algo.Packed a) inst =
   if total_rounds < 0 then invalid_arg "Simulator.run: negative round bound";
   let views = Array.init n (fun v -> Instance.view ~coins_seed:seed inst v) in
   let sent = Array.init n (fun _ -> Array.make total_rounds Msg.silent) in
-  let received = Array.init n (fun _ -> Array.init total_rounds (fun _ -> [||])) in
   (* Widths accumulate in a plain local and land in the shard once per
      run: the emit path stays free of domain-local lookups. *)
   let bits = ref 0 in
   let recorder =
     Observer.make
-      ~on_emit:(fun ~round ~vertex ~inbox ~emit ->
+      ~on_emit:(fun ~round ~vertex ~inbox:_ ~emit ->
         check_width ~b ~round ~vertex emit;
         bits := !bits + Msg.width emit;
-        received.(vertex).(round - 1) <- inbox;
         sent.(vertex).(round - 1) <- emit)
       ()
   in
   let outcome =
-    Engine.run ~observers:[ recorder ]
-      { Engine.n;
-        rounds = total_rounds;
-        step = (fun state ~round ~vertex:_ ~inbox -> a.Algo.step state ~round ~inbox);
-        exchange = Topology.broadcast ~n ~peer:(Instance.peer inst) }
+    Engine.run ~observers:[ recorder ] (broadcast_spec a inst ~rounds:total_rounds)
       ~init_state:(fun v -> a.Algo.init views.(v))
-      ~init_inbox:(fun _ -> Array.make (n - 1) Msg.silent)
+      ~init_inbox:(silent_inbox inst)
   in
   Bcclb_obs.Metrics.Counter.add bits_broadcast_metric !bits;
   let outputs =
@@ -50,7 +61,7 @@ let run ?(seed = 0) (Algo.Packed a) inst =
   in
   let transcripts =
     Array.init n (fun v ->
-        Transcript.make ~fingerprint:(View.fingerprint views.(v)) ~sent:sent.(v) ~received:received.(v))
+        Transcript.of_run ~view:views.(v) ~sent_all:sent ~ports:(Instance.ports inst v) v)
   in
   { outputs; transcripts; rounds_used = outcome.Engine.rounds_used }
 
@@ -76,13 +87,9 @@ let run_sent_codes ?(seed = 0) (Algo.Packed a) inst =
       ()
   in
   ignore
-    (Engine.run ~observers:[ recorder ]
-       { Engine.n;
-         rounds = total_rounds;
-         step = (fun state ~round ~vertex:_ ~inbox -> a.Algo.step state ~round ~inbox);
-         exchange = Topology.broadcast ~n ~peer:(Instance.peer inst) }
+    (Engine.run ~observers:[ recorder ] (broadcast_spec a inst ~rounds:total_rounds)
        ~init_state:(fun v -> a.Algo.init (Instance.view ~coins_seed:seed inst v))
-       ~init_inbox:(fun _ -> Array.make (n - 1) Msg.silent));
+       ~init_inbox:(silent_inbox inst));
   Bcclb_obs.Metrics.Counter.add bits_broadcast_metric !bits;
   codes
 

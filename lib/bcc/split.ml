@@ -20,32 +20,34 @@ type ('s, 'o) outer_state = {
   inner : 's;
   b : int;
   pending : Msg.t;  (* own inner message for the current block *)
-  acc : Msg.t array list;  (* outer inboxes of the current block, newest first *)
+  acc : Msg.t Inbox.t list;  (* outer inboxes of the current block, newest first *)
 }
 
 let decode_block ~b ~num_ports acc =
   (* acc: the H+b outer inboxes of a completed block, oldest first. *)
   let inboxes = Array.of_list acc in
   let h = header_bits ~b in
-  Array.init num_ports (fun p ->
-      let bit r =
-        match inboxes.(r).(p) with
-        | Msg.Silent -> false
-        | Msg.Word w -> Bits.to_bool w
-      in
-      let width = ref 0 in
-      for r = 0 to h - 1 do
-        width := (!width lsl 1) lor (if bit r then 1 else 0)
+  let decode p =
+    let bit r =
+      match Inbox.get inboxes.(r) p with
+      | Msg.Silent -> false
+      | Msg.Word w -> Bits.to_bool w
+    in
+    let width = ref 0 in
+    for r = 0 to h - 1 do
+      width := (!width lsl 1) lor (if bit r then 1 else 0)
+    done;
+    if !width = 0 then Msg.silent
+    else begin
+      let value = ref 0 in
+      (* Payload is little-endian in round order (bit i at round h+i). *)
+      for i = !width - 1 downto 0 do
+        value := (!value lsl 1) lor (if bit (h + i) then 1 else 0)
       done;
-      if !width = 0 then Msg.silent
-      else begin
-        let value = ref 0 in
-        (* Payload is little-endian in round order (bit i at round h+i). *)
-        for i = !width - 1 downto 0 do
-          value := (!value lsl 1) lor (if bit (h + i) then 1 else 0)
-        done;
-        Msg.of_int ~width:(min !width b) !value
-      end)
+      Msg.of_int ~width:(min !width b) !value
+    end
+  in
+  Inbox.of_array (Array.init num_ports decode)
 
 let encode_round ~b pending ~pos =
   let h = header_bits ~b in
@@ -73,8 +75,8 @@ let compile (Algo.Packed a) =
         (* Block boundary: previous block complete (or this is round 1). *)
         let inner_round = ((round - 1) / bl) + 1 in
         let inner_inbox =
-          if round = 1 then Array.make (Array.length inbox) Msg.silent
-          else decode_block ~b:st.b ~num_ports:(Array.length inbox) (List.rev (inbox :: st.acc))
+          if round = 1 then Inbox.make (Inbox.length inbox) Msg.silent
+          else decode_block ~b:st.b ~num_ports:(Inbox.length inbox) (List.rev (inbox :: st.acc))
         in
         let inner', msg = a.Algo.step st.inner ~round:inner_round ~inbox:inner_inbox in
         { st with inner = inner'; pending = msg; acc = [] }
@@ -84,7 +86,7 @@ let compile (Algo.Packed a) =
     (st, encode_round ~b:st.b st.pending ~pos)
   in
   let finish st ~inbox =
-    let num_ports = Array.length inbox in
+    let num_ports = Inbox.length inbox in
     let inner_inbox = decode_block ~b:st.b ~num_ports (List.rev (inbox :: st.acc)) in
     a.Algo.finish st.inner ~inbox:inner_inbox
   in

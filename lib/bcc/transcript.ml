@@ -16,10 +16,24 @@ module Bits = Bcclb_util.Bits
    same field race benignly — each builds an equal encoding from the
    immutable traffic and either store may win. *)
 
+(* The received traffic is either the run's sent record read through the
+   vertex's port row — what [Simulator.run] builds, so a run stores no
+   inbox — or a copied matrix ([make], for tests and hand-built
+   transcripts). [received_at] is the one reader; packing, equality and
+   [received] all go through it. *)
+type traffic =
+  | Record of { sent_all : Msg.t array array; ports : int array }
+      (* sent_all.(u).(r-1): vertex u's round-r broadcast *)
+  | Copied of Msg.t array array  (* received.(r-1).(p) *)
+
+(* The fingerprint is built on first use too: a KT-1 view prints O(n) IDs. *)
+type fingerprint = Known of string | Of_view of View.t
+
 type t = {
-  fingerprint : string;
+  mutable fingerprint : fingerprint;
   sent : Msg.t array;
-  received : Msg.t array array;
+  num_ports : int;
+  traffic : traffic;
   mutable packed : Bits.Seq.seq option;
   mutable sent_code : Bits.Seq.seq option;
 }
@@ -32,22 +46,52 @@ let pack_msg seq m =
     Bits.Seq.append seq b
 
 let make ~fingerprint ~sent ~received =
-  { fingerprint; sent; received; packed = None; sent_code = None }
+  if Array.length received <> Array.length sent then
+    invalid_arg "Transcript.make: sent and received cover different rounds";
+  { fingerprint = Known fingerprint;
+    sent;
+    num_ports = (if Array.length received = 0 then 0 else Array.length received.(0));
+    traffic = Copied received;
+    packed = None;
+    sent_code = None }
+
+let of_run ~view ~sent_all ~ports v =
+  { fingerprint = Of_view view;
+    sent = sent_all.(v);
+    num_ports = Array.length ports;
+    traffic = Record { sent_all; ports };
+    packed = None;
+    sent_code = None }
 
 let rounds t = Array.length t.sent
+
+(* Round r's inbox carries the round r−1 broadcasts; round 1 hears ⊥. *)
+let received_at t r p =
+  match t.traffic with
+  | Copied m -> m.(r - 1).(p)
+  | Record { sent_all; ports } -> if r = 1 then Msg.silent else sent_all.(ports.(p)).(r - 2)
 
 let packed t =
   match t.packed with
   | Some p -> p
   | None ->
-    let ports = if Array.length t.received = 0 then 0 else Array.length t.received.(0) in
-    let p = Bits.Seq.create ~capacity:(8 * rounds t * (ports + 1)) () in
+    let p = Bits.Seq.create ~capacity:(8 * rounds t * (t.num_ports + 1)) () in
     Array.iter (fun m -> pack_msg p m) t.sent;
-    Array.iter (fun row -> Array.iter (fun m -> pack_msg p m) row) t.received;
+    for r = 1 to rounds t do
+      for q = 0 to t.num_ports - 1 do
+        pack_msg p (received_at t r q)
+      done
+    done;
     t.packed <- Some p;
     p
 
-let fingerprint t = t.fingerprint
+let fingerprint t =
+  match t.fingerprint with
+  | Known s -> s
+  | Of_view view ->
+    let s = View.fingerprint view in
+    t.fingerprint <- Known s;
+    s
 
 let sent t r =
   if r < 1 || r > rounds t then invalid_arg "Transcript.sent: round out of range";
@@ -55,7 +99,8 @@ let sent t r =
 
 let received t r p =
   if r < 1 || r > rounds t then invalid_arg "Transcript.received: round out of range";
-  t.received.(r - 1).(p)
+  if p < 0 || p >= t.num_ports then invalid_arg "Transcript.received: port out of range";
+  received_at t r p
 
 let sent_sequence t = Array.copy t.sent
 
@@ -77,11 +122,9 @@ let sent_string t =
       Msg.char_of_code1 (Bits.value (Bits.Seq.word code ~pos:(2 * i) ~len:2)))
 
 let equal a b =
-  String.equal a.fingerprint b.fingerprint
-  && Array.length a.sent = Array.length b.sent
-  && Array.length a.received = Array.length b.received
-  && (Array.length a.received = 0
-     || Array.length a.received.(0) = Array.length b.received.(0))
+  String.equal (fingerprint a) (fingerprint b)
+  && rounds a = rounds b
+  && (rounds a = 0 || a.num_ports = b.num_ports)
   && Bits.Seq.equal (packed a) (packed b)
 
 let bits_broadcast t = Array.fold_left (fun acc m -> acc + Msg.width m) 0 t.sent

@@ -8,18 +8,30 @@ type t
 
 val make : fingerprint:string -> sent:Msg.t array -> received:Msg.t array array -> t
 (** [sent.(r-1)] is the round-r broadcast; [received.(r-1).(p)] is what
-    arrived in round r through port p. *)
+    arrived in round r through port p.
+    @raise Invalid_argument if the two arrays cover different rounds. *)
+
+val of_run : view:View.t -> sent_all:Msg.t array array -> ports:int array -> int -> t
+(** [of_run ~view ~sent_all ~ports v]: vertex [v]'s transcript read from
+    a BCC run's sent record, [sent_all.(u).(r-1)] being vertex [u]'s
+    round-r broadcast, through [v]'s port row [ports]. Nothing is copied:
+    what arrived in round r through port p is [sent_all.(ports.(p)).(r-2)]
+    (⊥ in round 1), and the fingerprint is [View.fingerprint view], built
+    on first use. Neither array may be mutated afterwards. *)
 
 val rounds : t -> int
 
 val fingerprint : t -> string
-(** {!View.fingerprint} of the vertex at round 0. *)
+(** {!View.fingerprint} of the vertex at round 0, built on first use and
+    cached. *)
 
 val sent : t -> int -> Msg.t
 (** [sent t r], rounds numbered from 1. @raise Invalid_argument. *)
 
 val received : t -> int -> int -> Msg.t
-(** [received t r p]. @raise Invalid_argument on bad round. *)
+(** [received t r p]: what arrived in round [r] through port [p] — ⊥ in
+    round 1, else the round r−1 broadcast of the peer behind [p].
+    @raise Invalid_argument on a bad round or port. *)
 
 val sent_sequence : t -> Msg.t array
 

@@ -42,6 +42,11 @@ let all_ids t =
   | None -> invalid_arg "View.all_ids: not available in KT-0"
   | Some k -> Array.copy k.all_ids
 
+let id_at t i =
+  match t.kt1 with
+  | None -> invalid_arg "View.id_at: not available in KT-0"
+  | Some k -> k.all_ids.(i)
+
 let port_of_id t target =
   match t.kt1 with
   | None -> invalid_arg "View.port_of_id: not available in KT-0"

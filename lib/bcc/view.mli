@@ -8,7 +8,9 @@
     cannot access knowledge its model does not grant. *)
 
 type kt1_info = {
-  all_ids : int array;  (** All n IDs, sorted. *)
+  all_ids : int array;
+      (** All n IDs, sorted. Shared by every view of an instance: read
+          it, never mutate it. *)
   neighbor_ids : int array;  (** [neighbor_ids.(p)] = ID across port [p]. *)
 }
 
@@ -41,6 +43,10 @@ val neighbor_id : t -> int -> int
 
 val all_ids : t -> int array
 (** KT-1 only (fresh copy). @raise Invalid_argument in KT-0. *)
+
+val id_at : t -> int -> int
+(** [id_at t i = (all_ids t).(i)], the [i]-th smallest ID, without the
+    copy. KT-1 only. @raise Invalid_argument in KT-0. *)
 
 val port_of_id : t -> int -> int
 (** KT-1 only: the port whose far end has the given ID.

@@ -49,13 +49,13 @@ let run ?(seed = 0) (Algo.Packed a) g ~alice_hosts =
       { Engine.n;
         rounds = total_rounds;
         step = (fun state ~round ~vertex:_ ~inbox -> a.Algo.step state ~round ~inbox);
-        exchange = Topology.broadcast ~n ~peer:(Instance.peer inst) }
+        exchange = Topology.broadcast ~n ~ports:(Instance.ports inst) }
       ~init_state:(fun v ->
         (* Each party initialises only its hosted vertices: a view depends
            only on IDs (shared knowledge) and the vertex's incident edges
            (the host's knowledge). *)
         a.Algo.init (Instance.view ~coins_seed:seed inst v))
-      ~init_inbox:(fun _ -> Array.make (n - 1) Msg.silent)
+      ~init_inbox:(fun _ -> Inbox.make (n - 1) Msg.silent)
   in
   let outputs =
     Array.init n (fun v -> a.Algo.finish outcome.Engine.states.(v) ~inbox:outcome.Engine.final_inbox.(v))

@@ -5,7 +5,11 @@
     how bandwidth/range validation works), then the {!Topology.t}
     exchange turns the emissions into the next round's inboxes. After
     [rounds] rounds the final states and inboxes are returned for the
-    caller's output extraction. *)
+    caller's output extraction.
+
+    Every round's emission array is freshly allocated and never written
+    after the exchange: {!Topology.broadcast} hands it to all n inboxes
+    ({!Inbox}), and algorithms may keep those inboxes. *)
 
 type ('state, 'emit, 'inbox) spec = {
   n : int;  (** Number of vertices / parties. *)

@@ -21,14 +21,18 @@ let make ?(on_start = nop4) ?(on_round_start = nop1) ?(on_emit = nop_emit) ?(on_
 
 let nop = { on_start = nop4; on_round_start = nop1; on_emit = nop_emit; on_round_end = nop_end }
 
-let combine observers =
-  { on_start = (fun ~n ~rounds -> List.iter (fun o -> o.on_start ~n ~rounds) observers);
-    on_round_start = (fun ~round -> List.iter (fun o -> o.on_round_start ~round) observers);
-    on_emit =
-      (fun ~round ~vertex ~inbox ~emit ->
-        List.iter (fun o -> o.on_emit ~round ~vertex ~inbox ~emit) observers);
-    on_round_end =
-      (fun ~round ~inboxes -> List.iter (fun o -> o.on_round_end ~round ~inboxes) observers) }
+(* A lone observer runs as itself: the per-emission hook of a simulator's
+   single recorder allocates no forwarding closure. *)
+let combine = function
+  | [ o ] -> o
+  | observers ->
+    { on_start = (fun ~n ~rounds -> List.iter (fun o -> o.on_start ~n ~rounds) observers);
+      on_round_start = (fun ~round -> List.iter (fun o -> o.on_round_start ~round) observers);
+      on_emit =
+        (fun ~round ~vertex ~inbox ~emit ->
+          List.iter (fun o -> o.on_emit ~round ~vertex ~inbox ~emit) observers);
+      on_round_end =
+        (fun ~round ~inboxes -> List.iter (fun o -> o.on_round_end ~round ~inboxes) observers) }
 
 let validator check =
   make ~on_emit:(fun ~round ~vertex ~inbox:_ ~emit -> check ~round ~vertex emit) ()

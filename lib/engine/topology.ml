@@ -4,8 +4,9 @@
 
 type ('emit, 'inbox) t = round:int -> prev:'inbox array -> 'emit array -> 'inbox array
 
-let broadcast ~n ~peer ~round:_ ~prev:_ emits =
-  Array.init n (fun v -> Array.init (n - 1) (fun p -> emits.(peer v p)))
+let broadcast ~n ~ports =
+  let rows = Array.init n ports in
+  fun ~round:_ ~prev:_ emits -> Array.map (fun ports -> Inbox.of_emissions emits ~ports) rows
 
 let unicast ~n ~peer ~port_to ~round:_ ~prev:_ emits =
   (* Vertex u hears, on its port q, what the peer v sent through v's port

@@ -6,9 +6,12 @@ type ('emit, 'inbox) t = round:int -> prev:'inbox array -> 'emit array -> 'inbox
     [round + 1]; [prev] is the inboxes consumed in round [round] (only
     cumulative topologies need it). *)
 
-val broadcast : n:int -> peer:(int -> int -> int) -> ('msg, 'msg array) t
+val broadcast : n:int -> ports:(int -> int array) -> ('msg, 'msg Inbox.t) t
 (** The BCC model (§1.2): every vertex's single emission reaches every
-    other vertex; [inbox.(v).(p)] is the broadcast of [peer v p]. *)
+    other vertex. [ports v] is vertex [v]'s port row ([(ports v).(p)] is
+    the vertex behind port [p]); it is read once, when the exchange is
+    built. Every round's n inboxes share the emission array
+    ({!Inbox.of_emissions}), so the exchange is O(n) per round. *)
 
 val unicast : n:int -> peer:(int -> int -> int) -> port_to:(int -> int -> int) -> ('msg array, 'msg array) t
 (** The RCC / per-port model: each vertex emits one message per port;

@@ -52,8 +52,8 @@ let of_algorithm (Algo.Packed a) =
         let consistent = ref true in
         let inbox_of r =
           (* Broadcasts of round r, per port; all-silent for r = 0. *)
-          if r = 0 then Array.make (View.num_ports view) Msg.silent
-          else Array.map (fun s -> msg_of_char s.[r - 1]) by_port
+          if r = 0 then Inbox.make (View.num_ports view) Msg.silent
+          else Inbox.of_array (Array.map (fun s -> msg_of_char s.[r - 1]) by_port)
         in
         for r = 1 to rounds do
           let state', msg = a.Algo.step !state ~round:r ~inbox:(inbox_of (r - 1)) in

@@ -47,6 +47,6 @@ let of_broadcast (Algo.Packed a) =
       init = a.Algo.init;
       step =
         (fun s ~round ~inbox ->
-          let s', msg = a.Algo.step s ~round ~inbox in
+          let s', msg = a.Algo.step s ~round ~inbox:(Inbox.of_array inbox) in
           (s', Array.make (Array.length inbox) msg));
-      finish = a.Algo.finish }
+      finish = (fun s ~inbox -> a.Algo.finish s ~inbox:(Inbox.of_array inbox)) }

@@ -15,7 +15,7 @@ type state = {
   view : View.t;
   k : int;
   hash : int;
-  inboxes : Msg.t array list;
+  inboxes : Msg.t Inbox.t list;
 }
 
 let hash_of ~coins ~k id =

@@ -520,13 +520,14 @@ let hand ?(seed = 0) (Algo.Packed a) inst =
     hrounds = a.Algo.rounds ~n;
     step_vertex =
       (fun ~round v ->
-        let st, m = a.Algo.step states.(v) ~round ~inbox:!inbox.(v) in
+        let st, m = a.Algo.step states.(v) ~round ~inbox:(Inbox.of_array !inbox.(v)) in
         states.(v) <- st;
         sent.(v) <- m);
     exchange =
       (fun () ->
         inbox := Array.init n (fun v -> Array.init (n - 1) (fun p -> sent.(Instance.peer inst v p))));
-    finish_vertex = (fun ?(tamper = Fun.id) v -> a.Algo.finish states.(v) ~inbox:(tamper !inbox.(v))) }
+    finish_vertex =
+      (fun ?(tamper = Fun.id) v -> a.Algo.finish states.(v) ~inbox:(Inbox.of_array (tamper !inbox.(v)))) }
 
 let run_rounds h =
   for round = 1 to h.hrounds do
@@ -748,7 +749,7 @@ let qsuites =
           (fun bandwidth ->
             let acc = Array.init 1 (fun _ -> Seq.create ~capacity ()) in
             for chunk = 0 to Chunked.rounds ~bits:(String.length bits) ~bandwidth - 1 do
-              Chunked.absorb ~into:acc [| Chunked.emit ~bits ~bandwidth ~chunk |]
+              Chunked.absorb ~into:acc (Inbox.of_array [| Chunked.emit ~bits ~bandwidth ~chunk |])
             done;
             Chunked.to_bits acc.(0) = bits && Seq.equal acc.(0) expected && Seq.equal expected acc.(0))
           (List.init Bcclb_util.Bits.max_width (fun i -> i + 1)));

@@ -130,7 +130,7 @@ let test_simulator_delivery () =
                 (fun p m ->
                   let sender_id = (((v + p + 1) mod n) + 1) land 1 = 1 in
                   Msg.equal m (Msg.of_bit sender_id))
-                inbox)))
+                (Inbox.to_array inbox))))
   in
   let inst = Instance.kt0_circulant cycle6 in
   let result = Simulator.run algo inst in
@@ -161,10 +161,20 @@ let test_view_details () =
        ignore (View.port_of_id v 3);
        false
      with Not_found -> true);
-  (* KT-0 view raises on all_ids. *)
+  Alcotest.(check (array int)) "id_at reads all_ids" (View.all_ids v)
+    (Array.init 6 (View.id_at v));
+  (* The sorted IDs and the port rows are shared, not copied per view. *)
+  let kt1 view = Option.get (View.kt1 view) in
+  Alcotest.(check bool) "one sorted ID array" true
+    ((kt1 v).View.all_ids == (kt1 (Instance.view inst 4)).View.all_ids);
+  Alcotest.(check bool) "port row is the wiring" true (Instance.ports inst 2 == Instance.ports inst 2);
+  Alcotest.(check (array int)) "port row = peer" (Array.init 5 (Instance.peer inst 2)) (Instance.ports inst 2);
+  (* KT-0 view raises on all_ids and id_at. *)
   let v0 = Instance.view (Instance.kt0_circulant cycle6) 0 in
   Alcotest.check_raises "all_ids KT-0" (Invalid_argument "View.all_ids: not available in KT-0")
-    (fun () -> ignore (View.all_ids v0))
+    (fun () -> ignore (View.all_ids v0));
+  Alcotest.check_raises "id_at KT-0" (Invalid_argument "View.id_at: not available in KT-0") (fun () ->
+      ignore (View.id_at v0 0))
 
 let test_transcript_bounds () =
   let algo = Bcclb_algorithms.Trivial.chatter ~rounds:2 () in
@@ -379,10 +389,10 @@ let test_split_preserves_silence_patterns () =
         init = (fun view -> (View.id view, []));
         step =
           (fun (id, log) ~round ~inbox ->
-            let received = Array.to_list (Array.map Msg.to_string inbox) in
+            let received = Array.to_list (Array.map Msg.to_string (Inbox.to_array inbox)) in
             let msg = if (round + id) mod 2 = 0 then Msg.silent else Msg.of_int ~width:(1 + (round mod 5)) round in
             ((id, received :: log), msg));
-        finish = (fun (_, log) ~inbox -> List.length log = 4 && Array.length inbox > 0) }
+        finish = (fun (_, log) ~inbox -> List.length log = 4 && Inbox.length inbox > 0) }
   in
   let outer = Split.compile inner in
   let inst = Instance.kt0_circulant (Bcclb_graph.Gen.cycle 6) in
@@ -431,7 +441,7 @@ let fuzz_inner ~b ~rounds_n seed =
       init = (fun view -> (View.id view, 0));
       step =
         (fun (id, heard) ~round ~inbox ->
-          let heard = Array.fold_left (fun acc m -> acc + (Msg.width m * 7) + 1) heard inbox in
+          let heard = Array.fold_left (fun acc m -> acc + (Msg.width m * 7) + 1) heard (Inbox.to_array inbox) in
           let h = (id * 31) + (round * 101) + (heard * 17) + seed in
           let msg =
             match h mod (b + 1) with
@@ -441,7 +451,7 @@ let fuzz_inner ~b ~rounds_n seed =
           ((id, heard), msg));
       finish =
         (fun (id, heard) ~inbox ->
-          let heard = Array.fold_left (fun acc m -> acc + (Msg.width m * 7) + 1) heard inbox in
+          let heard = Array.fold_left (fun acc m -> acc + (Msg.width m * 7) + 1) heard (Inbox.to_array inbox) in
           (id + heard) land 0xFFFF) }
 
 let qsuites =

@@ -32,14 +32,14 @@ let reference_bcc_run ?(seed = 0) (Algo.Packed a) inst =
     let broadcasts = Array.make n Msg.silent in
     for v = 0 to n - 1 do
       received.(v).(round - 1) <- !current_inbox.(v);
-      let state', msg = a.Algo.step states.(v) ~round ~inbox:!current_inbox.(v) in
+      let state', msg = a.Algo.step states.(v) ~round ~inbox:(Inbox.of_array !current_inbox.(v)) in
       states.(v) <- state';
       sent.(v).(round - 1) <- msg;
       broadcasts.(v) <- msg
     done;
     current_inbox := inbox_of_broadcasts broadcasts
   done;
-  let outputs = Array.init n (fun v -> a.Algo.finish states.(v) ~inbox:!current_inbox.(v)) in
+  let outputs = Array.init n (fun v -> a.Algo.finish states.(v) ~inbox:(Inbox.of_array !current_inbox.(v))) in
   let transcripts =
     Array.init n (fun v ->
         Transcript.make ~fingerprint:(View.fingerprint views.(v)) ~sent:sent.(v) ~received:received.(v))
@@ -94,25 +94,97 @@ let reference_protocol_run spec ia ib =
 
 let discovery knowledge = Bcclb_algorithms.Discovery.connectivity ~knowledge ~max_degree:2
 
+(* The shared exchange against the copying reference: outputs, rounds,
+   transcript equality, every received message (the reference's
+   transcripts hold its copied inboxes) and the lazily built fingerprint.
+   The instances cover circulant, random and crossed KT-0 wirings and
+   wide-bandwidth KT-1 sketch algorithms. *)
 let test_bcc_parity () =
   let rng = Rng.create ~seed:42 in
+  let module A = Bcclb_algorithms in
   List.iter
     (fun (algo, inst, seed) ->
       let expected_outputs, expected_transcripts = reference_bcc_run ~seed algo inst in
       let r = Simulator.run ~seed algo inst in
+      let n = Instance.n inst in
       Alcotest.(check (array bool)) "outputs" expected_outputs r.Simulator.outputs;
-      Alcotest.(check int) "rounds" (Algo.rounds algo ~n:(Instance.n inst)) r.Simulator.rounds_used;
+      Alcotest.(check int) "rounds" (Algo.rounds algo ~n) r.Simulator.rounds_used;
       Array.iteri
-        (fun v t ->
-          Alcotest.(check bool)
-            (Printf.sprintf "transcript %d" v)
-            true
-            (Transcript.equal t r.Simulator.transcripts.(v)))
+        (fun v expected ->
+          let t = r.Simulator.transcripts.(v) in
+          Alcotest.(check bool) (Printf.sprintf "transcript %d" v) true (Transcript.equal expected t);
+          Alcotest.(check string) "fingerprint"
+            (View.fingerprint (Instance.view ~coins_seed:seed inst v))
+            (Transcript.fingerprint t);
+          for round = 1 to Transcript.rounds t do
+            for p = 0 to n - 2 do
+              if not (Msg.equal (Transcript.received expected round p) (Transcript.received t round p)) then
+                Alcotest.failf "vertex %d round %d port %d: received differs" v round p
+            done
+          done)
         expected_transcripts)
     [ (discovery Instance.KT0, Instance.kt0_circulant (Ggen.cycle 10), 0);
       (discovery Instance.KT1, Instance.kt1_of_graph (Ggen.random_two_cycles rng 12), 3);
-      (Bcclb_algorithms.Hashed_discovery.connectivity ~k:4,
-       Instance.kt0_circulant (Ggen.random_cycle rng 9), 7) ]
+      (A.Hashed_discovery.connectivity ~k:4, Instance.kt0_circulant (Ggen.random_cycle rng 9), 7);
+      (discovery Instance.KT0, Instance.kt0_random (Rng.split rng) (Ggen.random_two_cycles rng 10), 1);
+      (A.Hashed_discovery.connectivity ~k:3,
+       Instance.cross (Instance.kt0_circulant (Ggen.cycle 10)) (0, 1) (5, 6), 2);
+      (A.Mt_connectivity.connectivity ~params:{ A.Mt_connectivity.s0 = 4; phases = 2; bandwidth = 8 } (),
+       Instance.kt1_of_graph (Ggen.random_bounded_degree rng 24 3), 5);
+      (A.Agm_connectivity.connectivity ~bandwidth:8 (),
+       Instance.kt1_of_graph (Ggen.random_multicycle rng 24), 6) ]
+
+(* The exchange's cost is O(n) per round: doubling the rounds of an
+   engine-only run at n = 512 adds at most 16 words per vertex-round,
+   where a per-vertex inbox copy would add n. *)
+let test_bcc_round_allocation () =
+  let n = 512 in
+  let inst = Instance.kt1_of_graph (Ggen.random_bounded_degree (Rng.create ~seed:3) n 4) in
+  let allocated rounds =
+    let algo = Bcclb_algorithms.Trivial.chatter ~rounds () in
+    let minor0, promoted0, major0 = Gc.counters () in
+    ignore (Sys.opaque_identity (Simulator.run algo inst));
+    let minor1, promoted1, major1 = Gc.counters () in
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  ignore (allocated 30);
+  let extra = allocated 60 -. allocated 30 in
+  if extra > float_of_int (30 * n * 16) then
+    Alcotest.failf "30 extra rounds allocated %.0f words (bound %d)" extra (30 * n * 16)
+
+(* Inboxes share the round's emission array, and the engine never reuses
+   one: an algorithm that keeps every inbox must still read, after the
+   run, the broadcasts of the round each inbox came from. *)
+let test_bcc_inbox_retention () =
+  let rounds = 5 in
+  let say ~id ~round = Msg.of_int ~width:8 (((id * 7) + round) land 255) in
+  let keeper =
+    Algo.pack
+      { Algo.name = "keeper";
+        anonymous = false;
+        bandwidth = (fun ~n:_ -> 8);
+        rounds = (fun ~n:_ -> rounds);
+        init = (fun view -> (View.id view, []));
+        step = (fun (id, kept) ~round ~inbox -> ((id, inbox :: kept), say ~id ~round));
+        finish = (fun (_, kept) ~inbox -> List.rev (inbox :: kept)) }
+  in
+  let inst = Instance.kt0_random (Rng.create ~seed:11) (Ggen.cycle 9) in
+  let r = Simulator.run keeper inst in
+  Array.iteri
+    (fun v kept ->
+      Alcotest.(check int) "one inbox per round and the final one" (rounds + 1) (List.length kept);
+      List.iteri
+        (fun i inbox ->
+          (* The inbox consumed in round i+1 carries the round-i broadcasts. *)
+          for p = 0 to Inbox.length inbox - 1 do
+            let expect =
+              if i = 0 then Msg.silent else say ~id:(Instance.id_of inst (Instance.peer inst v p)) ~round:i
+            in
+            if not (Msg.equal expect (Inbox.get inbox p)) then
+              Alcotest.failf "vertex %d, inbox %d, port %d: stale message" v (i + 1) p
+          done)
+        kept)
+    r.Simulator.outputs
 
 let test_rcc_parity () =
   let inst = Instance.kt1_of_graph (Ggen.cycle 11) in
@@ -251,6 +323,8 @@ let test_pool_empty_and_default () =
 
 let suites =
   [ Alcotest.test_case "BCC simulator parity with seed loop" `Quick test_bcc_parity;
+    Alcotest.test_case "BCC exchange allocates O(n) per round" `Quick test_bcc_round_allocation;
+    Alcotest.test_case "kept inboxes read their own round" `Quick test_bcc_inbox_retention;
     Alcotest.test_case "RCC simulator parity with seed loop" `Quick test_rcc_parity;
     Alcotest.test_case "2-party protocol parity with seed loop" `Quick test_protocol_parity;
     Alcotest.test_case "section-4.3 simulation parity" `Quick test_bcc_simulation_parity;
