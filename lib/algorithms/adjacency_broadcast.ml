@@ -22,9 +22,24 @@ open Bcclb_graph
 
 type state = {
   view : View.t;
-  heard : Bytes.t;  (* byte p·(n−1) + s: port s of the sender behind port p carries an edge *)
-  rounds_done : int;
+  kept : Msg.t Inbox.t array;
+      (* kept.(s): the inbox whose port p says whether port s of the
+         sender behind p carries an input edge. Only [finish] reads them,
+         so a run that never finishes — a label sweep — decodes nothing. *)
+  mutable inboxes : int;  (* inboxes absorbed, the all-silent round-1 one included *)
 }
+
+(* Inbox r carries the round r−1 broadcasts: the bit of the sender's
+   port r−2. *)
+let keep st inbox =
+  let s = st.inboxes - 1 in
+  if s >= 0 && s < Array.length st.kept then st.kept.(s) <- inbox;
+  st.inboxes <- st.inboxes + 1
+
+let heard st ~p ~s =
+  match Inbox.get st.kept.(s) p with
+  | Msg.Word b -> Bcclb_util.Bits.to_bool b
+  | Msg.Silent -> false
 
 let relative_edges st ~known_ports =
   let n = View.n st.view in
@@ -33,8 +48,7 @@ let relative_edges st ~known_ports =
      further s+1 steps clockwise. *)
   for p = 0 to n - 2 do
     for s = 0 to known_ports - 1 do
-      if Bytes.get st.heard ((p * (n - 1)) + s) <> '\000' then
-        edges := (p + 1, (p + s + 2) mod n) :: !edges
+      if heard st ~p ~s then edges := (p + 1, (p + s + 2) mod n) :: !edges
     done
   done;
   (* Own broadcasts, heard by everyone including (conceptually) self:
@@ -68,31 +82,21 @@ let infer ~n ~optimist edges =
     edges;
   if !short_cycle then false else if Conn.components uf = 1 then true else optimist
 
+(* Placeholder for rounds not heard yet. *)
+let unheard : Msg.t Inbox.t = Inbox.make 0 Msg.silent
+
 let make ~name ~optimist =
   let rounds ~n = n - 1 in
-  let init view =
-    let ports = View.num_ports view in
-    { view; heard = Bytes.make (ports * ports) '\000'; rounds_done = 0 }
-  in
-  (* The inbox of round s+2: on port p, whether port s of the sender
-     behind p carries an input edge. *)
-  let absorb st ~s inbox =
-    let ports = View.num_ports st.view in
-    for p = 0 to ports - 1 do
-      match Inbox.get inbox p with
-      | Msg.Word b when Bcclb_util.Bits.to_bool b -> Bytes.set st.heard ((p * ports) + s) '\001'
-      | Msg.Word _ | Msg.Silent -> ()
-    done
-  in
+  let init view = { view; kept = Array.make (View.num_ports view) unheard; inboxes = 0 } in
   let step st ~round ~inbox =
-    (* inbox carries round-1 broadcasts: the bit for the sender's port round-2. *)
-    if round >= 2 then absorb st ~s:(round - 2) inbox;
-    ({ st with rounds_done = round }, Msg.of_bit (View.is_input_port st.view (round - 1)))
+    keep st inbox;
+    (st, Msg.of_bit (View.is_input_port st.view (round - 1)))
   in
   let finish st ~inbox =
+    keep st inbox;
     let n = View.n st.view in
-    let t = st.rounds_done in
-    if t >= 1 then absorb st ~s:(t - 1) inbox;
+    (* Rounds run: every inbox but the round-1 one carried a port bit. *)
+    let t = st.inboxes - 1 in
     let edges = relative_edges st ~known_ports:t in
     if t >= n - 1 then Graph.is_connected (Graph.of_edges ~n edges)
     else infer ~n ~optimist edges

@@ -33,20 +33,4 @@ let decode_int ~first ~width broadcasts =
   done;
   (!v, not !missing)
 
-(* The per-sender broadcast sequences seen by one vertex: element [p] is
-   the array of broadcasts of the peer behind port [p]. [inboxes] is the
-   full list of inboxes delivered so far, oldest first. Inbox r carries
-   the round r−1 broadcasts, so dropping the (all-silent) first inbox
-   leaves exactly the broadcasts of rounds 1..len−1. *)
-let broadcast_sequences ~num_ports ~inboxes =
-  let all = match inboxes with [] -> [] | _ :: tl -> tl in
-  let t = List.length all in
-  let seqs = Array.make num_ports [||] in
-  for p = 0 to num_ports - 1 do
-    let arr = Array.make t Msg.Silent in
-    List.iteri (fun i inbox -> arr.(i) <- Inbox.get inbox p) all;
-    seqs.(p) <- arr
-  done;
-  seqs
-
 let id_width ~n = Bcclb_util.Mathx.ceil_log2 (n + 1)

@@ -13,11 +13,5 @@ val decode_int : first:int -> width:int -> Bcclb_bcc.Msg.t array -> int * bool
     silent rounds decode as 0 bits with [complete = false], so truncated
     algorithms can fall back to guessing. *)
 
-val broadcast_sequences :
-  num_ports:int -> inboxes:Bcclb_bcc.Msg.t Bcclb_bcc.Inbox.t list -> Bcclb_bcc.Msg.t array array
-(** Reassemble, per port, the broadcast sequence of the vertex behind that
-    port from all inboxes delivered so far (oldest first, including the
-    all-silent round-1 inbox; in [finish], append the final inbox). *)
-
 val id_width : n:int -> int
 (** Bits needed for IDs under the repository's default ID space 1..n. *)

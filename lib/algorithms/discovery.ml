@@ -12,100 +12,166 @@ open Bcclb_graph
 
 type output = { connected : bool; component : int }
 
+(* A sender broadcasts L-round blocks: its own ID (KT-0 only), then its
+   d neighbour IDs, 0-padded. A listener keeps the inboxes of the block
+   rounds — each shares its round's emission array, so keeping one costs
+   a pointer (see Inbox) — and decodes a block only when its answer reads
+   it: the input ports' ID blocks once at round L+1 (KT-0), the rest in
+   [finish], and nothing at all when a truncated run must guess. The
+   state is updated in place: every driver threads it linearly (see
+   Algo). *)
 type state = {
   view : View.t;
   l : int;
   d : int;
-  inboxes : Msg.t Inbox.t list;  (* newest first *)
-  own_ids : int list;
-      (* IDs of this vertex's input-graph neighbours, in input-port order.
-         In KT-1 they are initial knowledge; in KT-0 they are decoded once,
-         at round l+1, from the first L broadcasts heard on input ports,
-         and are [] before that. *)
+  id_blocks : int;  (* 1 in KT-0, where block 0 carries the sender's ID; 0 in KT-1 *)
+  kept : Msg.t Inbox.t array;  (* kept.(r - 1) carries the round r broadcasts *)
+  mutable inboxes : int;  (* inboxes absorbed, the all-silent round-1 one included *)
+  mutable nbrs : int array;
+      (* IDs of this vertex's input-graph neighbours, ascending. In KT-1
+         they are initial knowledge; in KT-0 they are decoded once, at
+         round l+1, from the ID blocks heard on input ports, and are
+         empty before that. *)
 }
 
-let phase1_rounds st = match View.kt1 st.view with Some _ -> 0 | None -> st.l
+let blocks st = st.id_blocks + st.d
 
-(* KT-0: decode the neighbour IDs from the first L broadcasts heard on
-   input ports, complete from round l+1 on. *)
-let decode_own_ids st =
-  let seqs =
-    Codec.broadcast_sequences ~num_ports:(View.num_ports st.view) ~inboxes:(List.rev st.inboxes)
-  in
-  List.filter_map
-    (fun p ->
-      let v, complete = Codec.decode_int ~first:1 ~width:st.l seqs.(p) in
-      if complete then Some v else None)
-    (View.input_ports st.view)
+(* Placeholder for block rounds not heard yet. *)
+let unheard : Msg.t Inbox.t = Inbox.make 0 Msg.silent
+
+(* Inbox r carries the round r−1 broadcasts, so the first inbox carries
+   none. Rounds past the last block carry nothing and are not kept. *)
+let keep st inbox =
+  let r = st.inboxes in
+  if r >= 1 && r <= Array.length st.kept then st.kept.(r - 1) <- inbox;
+  st.inboxes <- r + 1
+
+let rounds_heard st = Int.min (st.inboxes - 1) (Array.length st.kept)
+
+(* Block [b] heard on port [p], big-endian, or −1 unless all of its L
+   rounds were heard and none was silent. *)
+let block st p b =
+  let first = b * st.l in
+  if first + st.l > rounds_heard st then -1
+  else begin
+    let v = ref 0 and r = ref 0 in
+    while !r < st.l && !v >= 0 do
+      (match Inbox.get st.kept.(first + !r) p with
+      | Msg.Silent -> v := -1
+      | Msg.Word w -> v := (!v lsl 1) lor Bool.to_int (Bcclb_util.Bits.to_bool w));
+      incr r
+    done;
+    !v
+  end
 
 let schedule st ~round =
-  let p1 = phase1_rounds st in
+  let p1 = st.id_blocks * st.l in
   if round <= p1 then
     (* Broadcast own ID, big-endian. *)
     Codec.msg_of_bit (Codec.bit_of_int ~width:st.l ~pos:(round - 1) (View.id st.view))
   else begin
     let r = round - p1 - 1 in
     let block = r / st.l and pos = r mod st.l in
-    let nbrs = List.sort Int.compare st.own_ids in
-    let value = match List.nth_opt nbrs block with Some id -> id | None -> 0 in
+    let value = if block < Array.length st.nbrs then st.nbrs.(block) else 0 in
     Codec.msg_of_bit (Codec.bit_of_int ~width:st.l ~pos value)
   end
 
-(* Decode everything heard (tolerating truncation) into a graph over IDs.
-   Returns the edge list over IDs and whether decoding was complete. *)
-let decode_graph st ~final_inbox =
-  let inboxes = List.rev (final_inbox :: st.inboxes) in
-  let seqs = Codec.broadcast_sequences ~num_ports:(View.num_ports st.view) ~inboxes in
-  let p1 = phase1_rounds st in
-  let complete = ref true in
-  let edges = ref [] in
-  (* Own adjacency: in KT-0 it is only known once phase 1 decoded. *)
-  let own = View.id st.view in
-  List.iter (fun nbr -> edges := (own, nbr) :: !edges) st.own_ids;
-  if List.length st.own_ids < View.degree st.view then complete := false;
-  for p = 0 to View.num_ports st.view - 1 do
-    let sender_id =
-      match View.kt1 st.view with
-      | Some _ -> Some (View.neighbor_id st.view p)
-      | None ->
-        let v, ok = Codec.decode_int ~first:1 ~width:st.l seqs.(p) in
-        if ok then Some v else None
-    in
-    match sender_id with
-    | None -> complete := false
-    | Some sid ->
-      for block = 0 to st.d - 1 do
-        let v, ok = Codec.decode_int ~first:(p1 + (block * st.l) + 1) ~width:st.l seqs.(p) in
-        if not ok then complete := false
-        else if v <> 0 then edges := (sid, v) :: !edges
-      done
-  done;
-  (!edges, !complete)
+(* The ID index finish unions over: id − 1 in KT-0 (IDs are 1..n), the
+   position in the sorted [all_ids] in KT-1; −1 for an ID that is not
+   the instance's. Both are order-preserving, so the smallest index of
+   a component is its smallest ID. *)
+let index_of view =
+  match View.kt1 view with
+  | None ->
+    let n = View.n view in
+    fun id -> if id >= 1 && id <= n then id - 1 else -1
+  | Some k ->
+    let ids = k.View.all_ids in
+    fun id ->
+      let lo = ref 0 and hi = ref (Array.length ids) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if ids.(mid) < id then lo := mid + 1 else hi := mid
+      done;
+      if !lo < Array.length ids && ids.(!lo) = id then !lo else -1
 
-let components_of_id_edges ~ids edges =
-  (* Graph over the ID space; unknown IDs are ignored defensively. *)
-  let index = Hashtbl.create 16 in
-  Array.iteri (fun i id -> Hashtbl.add index id i) ids;
-  let ok (u, v) = Hashtbl.mem index u && Hashtbl.mem index v && u <> v in
-  let g =
-    Graph.of_edges ~n:(Array.length ids)
-      (List.map (fun (u, v) -> (Hashtbl.find index u, Hashtbl.find index v)) (List.filter ok edges))
+let id_of_index view i = match View.kt1 view with None -> i + 1 | Some k -> k.View.all_ids.(i)
+
+(* The promise the ID fields rely on: a KT-1 ID must fit L bits without
+   being the 0 padding, and KT-0 IDs must be 1..n, the universe the
+   decoder assumes. Off it the algorithm would answer wrong in silence. *)
+let check_id ~name view ~l =
+  let id = View.id view and n = View.n view in
+  match View.kt1 view with
+  | Some _ ->
+    if id < 1 || id >= 1 lsl l then
+      invalid_arg
+        (Printf.sprintf "%s: ID %d does not fit the %d-bit ID field (KT-1 IDs must be 1..%d)" name id
+           l ((1 lsl l) - 1))
+  | None ->
+    if id < 1 || id > n then
+      invalid_arg (Printf.sprintf "%s: ID %d is outside 1..%d (KT-0 IDs must be 1..n)" name id n)
+
+(* Link our own ID with its neighbours and every decoded sender with
+   the neighbour IDs it broadcast, as ID-index pairs: link i joins
+   ends.(2i) and ends.(2i+1); unknown IDs and self-links are dropped.
+   Returns the links, their number, and whether the transcript
+   determines the graph: our neighbours, every sender's ID and every
+   neighbour block were all heard. *)
+let links st ~index ~own =
+  let view = st.view in
+  let ports = View.num_ports view in
+  let ends = Array.make (2 * (Array.length st.nbrs + (ports * st.d))) 0 in
+  let m = ref 0 in
+  let link a b =
+    if a >= 0 && b >= 0 && a <> b then begin
+      ends.(!m) <- a;
+      ends.(!m + 1) <- b;
+      m := !m + 2
+    end
   in
-  let labels = Graph.components g in
-  (* Back to ID labels: component label = smallest ID in the component. *)
-  let comp_min = Hashtbl.create 16 in
-  Array.iteri
-    (fun i id ->
-      let c = labels.(i) in
-      match Hashtbl.find_opt comp_min c with
-      | None -> Hashtbl.add comp_min c id
-      | Some m -> if id < m then Hashtbl.replace comp_min c id)
-    ids;
-  (Graph.num_components g, fun id -> Hashtbl.find comp_min labels.(Hashtbl.find index id))
+  Array.iter (fun id -> link own (index id)) st.nbrs;
+  let complete = ref (Array.length st.nbrs >= View.degree view) in
+  for p = 0 to ports - 1 do
+    let sender = if st.id_blocks = 0 then View.neighbor_id view p else block st p 0 in
+    if sender < 0 then complete := false
+    else begin
+      let s = index sender in
+      for b = st.id_blocks to blocks st - 1 do
+        match block st p b with
+        | -1 -> complete := false
+        | 0 -> ()
+        | v -> link s (index v)
+      done
+    end
+  done;
+  (ends, !m / 2, !complete)
 
-(* [on_incomplete] decides behaviour under truncation: what to output when
-   the transcript does not determine the graph. *)
-let make ~knowledge ~max_degree ~name ~on_incomplete () =
+(* Each edge can be heard from both endpoints: count the distinct ones.
+   Closing a cycle with fewer than n known edges certifies that some
+   cycle shorter than n exists, a NO-certificate for TwoCycle. *)
+let closes_short_cycle ~n ends links =
+  let keys =
+    Array.init links (fun i ->
+        let a = ends.(2 * i) and b = ends.((2 * i) + 1) in
+        (Int.min a b * n) + Int.max a b)
+  in
+  Array.sort Int.compare keys;
+  let uf = Conn.create n in
+  let known = ref 0 and cycle = ref false in
+  Array.iteri
+    (fun i key ->
+      if i = 0 || keys.(i - 1) <> key then begin
+        incr known;
+        if not (Conn.union uf (key / n) (key mod n)) then cycle := true
+      end)
+    keys;
+  !cycle && !known < n
+
+(* When the transcript does not determine the graph, [finish] answers
+   [optimist] — unless [certify] is set and the edges heard so far close
+   a cycle shorter than n, which certifies NO. *)
+let make ~knowledge ~max_degree ~name ~optimist ~certify =
   let rounds ~n =
     let l = Codec.id_width ~n in
     (match knowledge with Instance.KT0 -> l | Instance.KT1 -> 0) + (max_degree * l)
@@ -116,86 +182,83 @@ let make ~knowledge ~max_degree ~name ~on_incomplete () =
     (match (knowledge, View.kt1 view) with
     | Instance.KT1, None -> invalid_arg (name ^ ": needs a KT-1 instance")
     | _ -> ());
-    let own_ids =
+    let l = Codec.id_width ~n:(View.n view) in
+    check_id ~name view ~l;
+    let id_blocks, nbrs =
       match View.kt1 view with
-      | Some _ -> List.map (View.neighbor_id view) (View.input_ports view)
-      | None -> []
+      | Some _ ->
+        let ids = Array.of_list (List.map (View.neighbor_id view) (View.input_ports view)) in
+        Array.sort Int.compare ids;
+        (0, ids)
+      | None -> (1, [||])
     in
-    { view; l = Codec.id_width ~n:(View.n view); d = max_degree; inboxes = []; own_ids }
+    { view; l; d = max_degree; id_blocks;
+      kept = Array.make ((id_blocks + max_degree) * l) unheard;
+      inboxes = 0;
+      nbrs }
   in
   let step st ~round ~inbox =
-    let st = { st with inboxes = inbox :: st.inboxes } in
-    let st =
-      if Option.is_none (View.kt1 st.view) && round = st.l + 1 then { st with own_ids = decode_own_ids st }
-      else st
-    in
+    keep st inbox;
+    if st.id_blocks = 1 && round = st.l + 1 then begin
+      let heard p = match block st p 0 with -1 -> None | id -> Some id in
+      let ids = Array.of_list (List.filter_map heard (View.input_ports st.view)) in
+      Array.sort Int.compare ids;
+      st.nbrs <- ids
+    end;
     (st, schedule st ~round)
   in
   let finish st ~inbox =
-    let edges, complete = decode_graph st ~final_inbox:inbox in
-    if not complete then on_incomplete st edges
+    keep st inbox;
+    let view = st.view in
+    let guess connected = { connected; component = View.id view } in
+    (* A run cut before the last block leaves every port's last block
+       unheard: a decider that only guesses reads nothing. *)
+    if (not certify) && rounds_heard st < Array.length st.kept then guess optimist
     else begin
-      (* All IDs are known: 1..n by repository convention in KT-0; exact
-         list in KT-1. *)
-      let ids =
-        match View.kt1 st.view with
-        | Some k -> k.View.all_ids
-        | None -> Array.init (View.n st.view) (fun i -> i + 1)
-      in
-      let num_components, label_of = components_of_id_edges ~ids edges in
-      { connected = num_components = 1; component = label_of (View.id st.view) }
+      let n = View.n view and index = index_of view in
+      let own = index (View.id view) in
+      let ends, links, complete = links st ~index ~own in
+      if complete then begin
+        let uf = Conn.create n in
+        for i = 0 to links - 1 do
+          ignore (Conn.union uf ends.(2 * i) ends.((2 * i) + 1))
+        done;
+        (* Component label = smallest ID = smallest index in our set. *)
+        let root = Conn.find uf own in
+        let first = ref 0 in
+        while Conn.find uf !first <> root do
+          incr first
+        done;
+        { connected = Conn.components uf = 1; component = id_of_index view !first }
+      end
+      else guess (optimist && not (certify && closes_short_cycle ~n ends links))
     end
   in
   Algo.bcc1 ~name ~rounds ~init ~step ~finish
 
+let model = function Instance.KT0 -> "KT-0" | Instance.KT1 -> "KT-1"
+let bias optimist = if optimist then "yes-bias" else "no-bias"
+
 let connectivity ~knowledge ~max_degree =
-  let name =
-    Printf.sprintf "discovery-connectivity[%s,d<=%d]"
-      (match knowledge with Instance.KT0 -> "KT-0" | Instance.KT1 -> "KT-1")
-      max_degree
-  in
-  let algo =
-    make ~knowledge ~max_degree ~name
-      ~on_incomplete:(fun st _edges -> { connected = true; component = View.id st.view })
-      ()
-  in
+  let name = Printf.sprintf "discovery-connectivity[%s,d<=%d]" (model knowledge) max_degree in
+  let algo = make ~knowledge ~max_degree ~name ~optimist:true ~certify:false in
   Algo.pack (Algo.map_output (fun o -> o.connected) algo)
 
 let components ~knowledge ~max_degree =
-  let name =
-    Printf.sprintf "discovery-components[%s,d<=%d]"
-      (match knowledge with Instance.KT0 -> "KT-0" | Instance.KT1 -> "KT-1")
-      max_degree
-  in
-  let algo =
-    make ~knowledge ~max_degree ~name
-      ~on_incomplete:(fun st _edges -> { connected = true; component = View.id st.view })
-      ()
-  in
+  let name = Printf.sprintf "discovery-components[%s,d<=%d]" (model knowledge) max_degree in
+  let algo = make ~knowledge ~max_degree ~name ~optimist:true ~certify:false in
   Algo.pack (Algo.map_output (fun o -> o.component) algo)
 
 let connectivity_guess_no ~knowledge ~max_degree =
   let name =
-    Printf.sprintf "discovery-connectivity-pessimist[%s,d<=%d]"
-      (match knowledge with Instance.KT0 -> "KT-0" | Instance.KT1 -> "KT-1")
-      max_degree
+    Printf.sprintf "discovery-connectivity-pessimist[%s,d<=%d]" (model knowledge) max_degree
   in
-  let algo =
-    make ~knowledge ~max_degree ~name
-      ~on_incomplete:(fun st _edges -> { connected = false; component = View.id st.view })
-      ()
-  in
+  let algo = make ~knowledge ~max_degree ~name ~optimist:false ~certify:false in
   Algo.pack (Algo.map_output (fun o -> o.connected) algo)
 
 let connectivity_truncated ~knowledge ~max_degree ~rounds ~optimist =
-  let name =
-    Printf.sprintf "discovery[%s,d<=%d,%s]"
-      (match knowledge with Instance.KT0 -> "KT-0" | Instance.KT1 -> "KT-1")
-      max_degree
-      (if optimist then "yes-bias" else "no-bias")
-  in
-  let guess st _edges = { connected = optimist; component = View.id st.view } in
-  let algo = make ~knowledge ~max_degree ~name ~on_incomplete:guess () in
+  let name = Printf.sprintf "discovery[%s,d<=%d,%s]" (model knowledge) max_degree (bias optimist) in
+  let algo = make ~knowledge ~max_degree ~name ~optimist ~certify:false in
   Algo.pack (Algo.truncate ~rounds (Algo.map_output (fun o -> o.connected) algo))
 
 (* A smarter truncation: use whatever part of the graph the transcript
@@ -206,38 +269,7 @@ let connectivity_truncated ~knowledge ~max_degree ~rounds ~optimist =
    "knows everything". *)
 let connectivity_partial ~knowledge ~max_degree ~rounds ~optimist =
   let name =
-    Printf.sprintf "discovery-partial[%s,d<=%d,%s]"
-      (match knowledge with Instance.KT0 -> "KT-0" | Instance.KT1 -> "KT-1")
-      max_degree
-      (if optimist then "yes-bias" else "no-bias")
+    Printf.sprintf "discovery-partial[%s,d<=%d,%s]" (model knowledge) max_degree (bias optimist)
   in
-  let infer st edges =
-    let n = View.n st.view in
-    (* Known edges are over IDs 1..n (KT-0 convention); each edge can be
-       reported by both endpoints, so deduplicate before cycle-testing. *)
-    let seen = Hashtbl.create 16 in
-    let distinct = ref [] in
-    List.iter
-      (fun (u, v) ->
-        if u >= 1 && u <= n && v >= 1 && v <= n && u <> v then begin
-          let key = (min u v, max u v) in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.add seen key ();
-            distinct := key :: !distinct
-          end
-        end)
-      edges;
-    (* Closing a cycle with fewer than n known edges certifies that some
-       cycle shorter than n exists: a NO-certificate for TwoCycle. *)
-    let uf = Bcclb_graph.Conn.create (n + 1) in
-    let short_cycle = ref false in
-    let known = List.length !distinct in
-    List.iter
-      (fun (u, v) ->
-        if (not (Bcclb_graph.Conn.union uf u v)) && known < n then short_cycle := true)
-      !distinct;
-    if !short_cycle then { connected = false; component = View.id st.view }
-    else { connected = optimist; component = View.id st.view }
-  in
-  let algo = make ~knowledge ~max_degree ~name ~on_incomplete:infer () in
+  let algo = make ~knowledge ~max_degree ~name ~optimist ~certify:true in
   Algo.pack (Algo.truncate ~rounds (Algo.map_output (fun o -> o.connected) algo))

@@ -11,9 +11,17 @@
     constant-arboricity sketching algorithm of [MT16] that the paper
     cites for tightness (see DESIGN.md substitutions).
 
-    KT-0 instances must use the repository's default ID space 1..n (the
-    decoder needs to know the universe of IDs); KT-1 instances may use
-    any IDs that fit in [Codec.id_width] bits, 0 excluded (it pads). *)
+    The ID promise is enforced: KT-0 instances must use the repository's
+    default ID space 1..n (the decoder needs to know the universe of
+    IDs), and KT-1 IDs must fit in [Codec.id_width] bits, 0 excluded (it
+    pads). [init] raises [Invalid_argument], prefixed with the
+    algorithm's name, at a vertex whose ID breaks it — never a wrong
+    answer or a stray [Not_found].
+
+    A listener keeps the inboxes of the block rounds and decodes a block
+    only when its answer reads it; [finish] unions the decoded edges on
+    one {!Bcclb_graph.Conn} over an order-preserving ID index. The state
+    is updated in place ({!Bcclb_bcc.Algo} threads it linearly). *)
 
 val connectivity : knowledge:Bcclb_bcc.Instance.knowledge -> max_degree:int -> bool Bcclb_bcc.Algo.packed
 (** YES iff the input graph is connected. When truncated (see

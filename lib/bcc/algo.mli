@@ -11,7 +11,7 @@
     [Kt0_compiler], [Rcc_algo] and [Transcript_scheme] — passes the state
     returned by [init] or [step] to exactly one later [step] or [finish]
     call and never reuses an older one. A state may therefore be updated
-    in place and returned as is, as [Adjacency_broadcast],
+    in place and returned as is, as [Adjacency_broadcast], [Discovery],
     [Mt_connectivity] and [Hashed_discovery] do; a new driver must keep
     this contract. *)
 

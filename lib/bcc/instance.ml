@@ -111,23 +111,31 @@ let kt0_circulant ?ids g =
 
 (* Census sweeps build one circulant instance per enumerated structure;
    the clique tables and IDs depend only on n, so build them once and
-   stamp out instances from per-vertex cycle-neighbour pairs. The shared
-   tables are immutable and correct by construction, so the O(n^2)
-   per-instance validation of [kt0_circulant] is skipped — this is the
-   difference between instance construction dominating an arena sweep
-   and it being noise. *)
+   stamp out instances from per-vertex cycle-neighbour pairs. Under the
+   circulant wiring v's port toward u is (u - v - 1) mod n, so a vertex's
+   input row depends only on its two neighbour ports: every stamped
+   instance reads its rows from one per-n table of (n-1)^2 shared rows.
+   The shared tables are immutable and correct by construction, so the
+   O(n^2) per-instance validation of [kt0_circulant] is skipped — this is
+   the difference between instance construction dominating an arena
+   sweep and it being noise. *)
 let kt0_circulant_sweep n =
   if n < 2 then invalid_arg "Instance.kt0_circulant_sweep: need at least 2 vertices";
   let ids = default_ids n in
   let peer = circulant_peer n in
   let port_to = make_port_to ~n peer in
+  let rows =
+    Array.init (n - 1) (fun a -> Array.init (n - 1) (fun b -> Array.init (n - 1) (fun p -> p = a || p = b)))
+  in
+  let port v u =
+    if u < 0 || u >= n || u = v then invalid_arg "Instance.kt0_circulant_sweep: bad neighbour";
+    (u - v - 1 + n) mod n
+  in
   fun neighbors ->
-    if Array.length neighbors <> n then
+    if Array.length neighbors <> 2 * n then
       invalid_arg "Instance.kt0_circulant_sweep: neighbour table size mismatch";
     let input =
-      Array.init n (fun v ->
-          let a, b = neighbors.(v) in
-          Array.map (fun u -> u = a || u = b) peer.(v))
+      Array.init n (fun v -> rows.(port v neighbors.(2 * v)).(port v neighbors.((2 * v) + 1)))
     in
     { knowledge = KT0; n; ids; peer; port_to; input; sorted_ids = [||] }
 

@@ -43,14 +43,19 @@ val kt0_circulant : ?ids:int array -> Bcclb_graph.Graph.t -> t
     (port p of v → v+p+1 mod n); the shared background wiring of all
     census-level instances. Default IDs are 1..n. *)
 
-val kt0_circulant_sweep : int -> (int * int) array -> t
-(** [kt0_circulant_sweep n] precomputes the circulant wiring tables and
-    default IDs once and returns a stamp: applied to a per-vertex
-    cycle-neighbour table (the two input-graph neighbours of each vertex
-    of a 2-regular instance), it builds the same instance
+val kt0_circulant_sweep : int -> int array -> t
+(** [kt0_circulant_sweep n] precomputes the circulant wiring tables,
+    default IDs and input rows once and returns a stamp: applied to a
+    flat cycle-neighbour table — vertex v's two input-graph neighbours
+    at indices [2v] and [2v+1], as the core layer's [Census.fill_neighbors]
+    writes it — it builds the same instance
     [kt0_circulant (Cycles.to_graph ...)] would, without the per-call
-    graph construction and O(n²) validation. The hot constructor behind
-    the core layer's census sweeps. *)
+    graph construction and O(n²) validation. The table is read, not
+    kept, so callers may refill and reuse it; the input rows of stamped
+    instances are shared per n (never mutate them). The hot constructor
+    behind the core layer's census sweeps.
+    @raise Invalid_argument if the table has the wrong size or names a
+    vertex out of range or the vertex itself. *)
 
 val kt0_random : ?ids:int array -> Bcclb_util.Rng.t -> Bcclb_graph.Graph.t -> t
 (** KT-0 instance with independently random port numbering at every

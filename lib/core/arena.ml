@@ -77,51 +77,69 @@ let key_two s =
       shift := !shift + 4);
   !key
 
-(* Canonical traversal of a cycle presented as an accessor: position of
-   the minimum vertex and direction toward its smaller neighbour —
-   exactly Cycles.canonical_cycle, without materialising the array. *)
-let canon_start get len =
-  let p = ref 0 in
-  for i = 1 to len - 1 do
-    if get i < get !p then p := i
-  done;
-  let p = !p in
-  let dir = if get ((p + 1) mod len) <= get ((p + len - 1) mod len) then 1 else -1 in
-  (p, dir)
+(* The two arcs of Census.cross_one_cycle as windows on the cycle:
+   arc_a = c_{i+1}..c_j starts at i+1, arc_b = c_{j+1}..c_i (wrapping)
+   at j+1. [arc_at cyc start pos] is position [pos] of the window. *)
+let arc_at cyc start pos =
+  let x = start + pos and k = Array.length cyc in
+  cyc.(if x >= k then x - k else x)
 
-let emit_cross cyc i j push =
-  let k = Array.length cyc in
-  let i, j = if i < j then (i, j) else (j, i) in
-  if i < 0 || j >= k then invalid_arg "Arena.cross_key: edge index out of range";
-  let len1 = j - i and len2 = k - (j - i) in
-  if len1 < 3 || len2 < 3 then invalid_arg "Arena.cross_key: arcs must have length >= 3";
-  (* The two arcs of Census.cross_one_cycle: arc_a = c_{i+1}..c_j,
-     arc_b = c_{j+1}..c_i (wrapping). *)
-  let get_a idx = cyc.(i + 1 + idx) in
-  let get_b idx = cyc.((j + 1 + idx) mod k) in
-  let pa, da = canon_start get_a len1 in
-  let pb, db = canon_start get_b len2 in
-  let at get len p d step = get (((p + (d * step)) mod len + len) mod len) in
-  (* First cycle = the arc containing the overall minimum vertex (its
-     canonical leading vertex, skipped in the key). *)
-  let a_first = at get_a len1 pa da 0 < at get_b len2 pb db 0 in
-  let g1, l1, p1, d1, g2, l2, p2, d2 =
-    if a_first then (get_a, len1, pa, da, get_b, len2, pb, db)
-    else (get_b, len2, pb, db, get_a, len1, pa, da)
-  in
-  push l1;
-  for step = 1 to l1 - 1 do
-    push (at g1 l1 p1 d1 step)
+(* Canonical traversal of an arc read as a cycle — exactly
+   Cycles.canonical_cycle, without materialising it — starts at the
+   position of its minimum vertex (arc_min) and steps toward the smaller
+   of that vertex's neighbours (arc_step: 1, or len − 1 for −1). *)
+let arc_min cyc start len =
+  let p = ref 0 in
+  for q = 1 to len - 1 do
+    if arc_at cyc start q < arc_at cyc start !p then p := q
   done;
-  for step = 0 to l2 - 1 do
-    push (at g2 l2 p2 d2 step)
+  !p
+
+let arc_step cyc start len p =
+  let next = arc_at cyc start (if p + 1 = len then 0 else p + 1)
+  and prev = arc_at cyc start (if p = 0 then len - 1 else p - 1) in
+  if next <= prev then 1 else len - 1
+
+(* Write the arc's canonical traversal from step [from] on into
+   out.(at), out.(at + 1), ... *)
+let write_arc cyc start len out ~at ~from =
+  let p = arc_min cyc start len in
+  let step = arc_step cyc start len p in
+  let q = ref ((p + (from * step)) mod len) in
+  for x = at to at + len - from - 1 do
+    out.(x) <- arc_at cyc start !q;
+    q := if !q + step >= len then !q + step - len else !q + step
   done
 
+(* The k key fields of the crossed structure, [len c1][c1 minus its
+   leading vertex][all of c2], into out.(0..k−1). The first cycle is the
+   arc holding the overall minimum vertex (its canonical leading vertex,
+   implied by the key). *)
+let cross_fields cyc i j out =
+  let k = Array.length cyc in
+  let i = Int.min i j and j = Int.max i j in
+  if i < 0 || j >= k then invalid_arg "Arena.cross_key: edge index out of range";
+  let len_a = j - i in
+  let len_b = k - len_a in
+  if len_a < 3 || len_b < 3 then invalid_arg "Arena.cross_key: arcs must have length >= 3";
+  let start_a = i + 1 and start_b = if j + 1 = k then 0 else j + 1 in
+  let min_a = arc_at cyc start_a (arc_min cyc start_a len_a)
+  and min_b = arc_at cyc start_b (arc_min cyc start_b len_b) in
+  let start1, len1, start2, len2 =
+    if min_a < min_b then (start_a, len_a, start_b, len_b) else (start_b, len_b, start_a, len_a)
+  in
+  out.(0) <- len1;
+  write_arc cyc start1 len1 out ~at:1 ~from:1;
+  write_arc cyc start2 len2 out ~at:len1 ~from:0
+
 let cross_key cyc i j =
-  let key = ref 0 and shift = ref 0 in
-  emit_cross cyc i j (fun v ->
-      key := !key lor (v lsl !shift);
-      shift := !shift + 4);
+  let k = Array.length cyc in
+  let fields = Array.make k 0 in
+  cross_fields cyc i j fields;
+  let key = ref 0 in
+  for x = k - 1 downto 0 do
+    key := (!key lsl 4) lor fields.(x)
+  done;
   !key
 
 let packed_of_emit ~n emit =
@@ -131,7 +149,10 @@ let packed_of_emit ~n emit =
   Bits.Seq.to_packed_string seq
 
 let key_two_packed ~n s = packed_of_emit ~n (emit_two s)
-let cross_key_packed ~n cyc i j = packed_of_emit ~n (emit_cross cyc i j)
+let cross_key_packed ~n cyc i j =
+  let fields = Array.make (Array.length cyc) 0 in
+  cross_fields cyc i j fields;
+  packed_of_emit ~n (fun push -> Array.iter push fields)
 
 let supported ~n =
   if n < min_n || n > max_n then
@@ -318,11 +339,8 @@ let rotation_map_two t c =
 (* One lightweight engine execution of a one-cycle instance given as its
    canonical cycle, over the shared circulant sweep stamp. *)
 let run_codes ~seed ~n algo stamp cyc =
-  let k = Array.length cyc in
-  let neighbors = Array.make n (0, 0) in
-  for i = 0 to k - 1 do
-    neighbors.(cyc.(i)) <- (cyc.((i + k - 1) mod k), cyc.((i + 1) mod k))
-  done;
+  let neighbors = Array.make (2 * n) 0 in
+  Census.fill_neighbors neighbors cyc;
   Simulator.run_sent_codes ~seed algo (stamp neighbors)
 
 let memoised ~span_name arena ~seed algo table compute =

@@ -81,7 +81,8 @@ val key_two : Bcclb_graph.Cycles.t -> int
 
 val cross_key : int array -> int -> int -> int
 (** [cross_key cyc i j] = [key_two (Census.cross_one_cycle cyc i j)]
-    without allocating the crossed structure.
+    without allocating the crossed structure or a closure: both arcs
+    are read as windows on [cyc].
     @raise Invalid_argument under the same conditions. *)
 
 val key_two_packed : n:int -> Bcclb_graph.Cycles.t -> string

@@ -78,6 +78,24 @@ let two_cycles ~n =
 
 let to_instance ?ids s ~n = Bcclb_bcc.Instance.kt0_circulant ?ids (Cycles.to_graph ~n s)
 
+(* The sweep stamp's neighbour table for one cycle: vertex cyc.(i) gets
+   its predecessor at 2·cyc.(i) and its successor at 2·cyc.(i)+1. *)
+let fill_neighbors nbrs cyc =
+  let k = Array.length cyc in
+  for i = 0 to k - 1 do
+    let v = cyc.(i) in
+    nbrs.(2 * v) <- cyc.((i + k - 1) mod k);
+    nbrs.((2 * v) + 1) <- cyc.((i + 1) mod k)
+  done
+
+let stamp ~n =
+  let stamp = Bcclb_bcc.Instance.kt0_circulant_sweep n in
+  fun s ->
+    (* Entries no cycle covers stay -1, which the stamp refuses. *)
+    let nbrs = Array.make (2 * n) (-1) in
+    List.iter (fill_neighbors nbrs) (Cycles.cycles s);
+    stamp nbrs
+
 (* ---- rotation orbits ----
 
    The circulant background wiring is invariant under the label rotations

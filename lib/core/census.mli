@@ -56,7 +56,21 @@ val iter_two_cycle_orbits : n:int -> (Bcclb_graph.Cycles.t -> weight:int -> unit
     Σ weight = |V₂|. @raise Invalid_argument for n < 6. *)
 
 val to_instance : ?ids:int array -> Bcclb_graph.Cycles.t -> n:int -> Bcclb_bcc.Instance.t
-(** KT-0 instance of the structure over the circulant background wiring. *)
+(** KT-0 instance of the structure over the circulant background wiring,
+    built through the validating {!Bcclb_bcc.Instance.kt0_circulant}. *)
+
+val fill_neighbors : int array -> int array -> unit
+(** [fill_neighbors nbrs cyc] writes, for every vertex [v] of the cycle
+    [cyc], its predecessor and successor on the cycle at [nbrs.(2v)] and
+    [nbrs.(2v+1)] — the neighbour table
+    {!Bcclb_bcc.Instance.kt0_circulant_sweep} stamps instances from. *)
+
+val stamp : n:int -> Bcclb_graph.Cycles.t -> Bcclb_bcc.Instance.t
+(** [stamp ~n] builds the sweep tables once; applied to a structure
+    covering all [n] vertices it returns the instance [to_instance]
+    would, without the per-instance graph and validation. This is how
+    the census sweeps build their instances.
+    @raise Invalid_argument if the structure leaves a vertex uncovered. *)
 
 val cross_one_cycle : int array -> int -> int -> Bcclb_graph.Cycles.t
 (** [cross_one_cycle cyc i j]: cross the directed cycle edges

@@ -22,16 +22,18 @@ let decide ?(seed = 0) algo inst =
   Problems.system_decision (Simulator.run ~seed algo inst).Simulator.outputs
 
 (* Exact distributional error of a decision algorithm over μ: runs the
-   algorithm on EVERY census instance. *)
+   algorithm on EVERY census instance, each stamped over the shared
+   circulant tables. *)
 let exact_error ?(seed = 0) algo ~n =
+  let instance = Census.stamp ~n in
   let v1_errors = ref 0 and v1_total = ref 0 in
   Census.iter_one_cycles ~n (fun s ->
       incr v1_total;
-      if not (decide ~seed algo (Census.to_instance s ~n)) then incr v1_errors);
+      if not (decide ~seed algo (instance s)) then incr v1_errors);
   let v2_errors = ref 0 and v2_total = ref 0 in
   Census.iter_two_cycles ~n (fun s ->
       incr v2_total;
-      if decide ~seed algo (Census.to_instance s ~n) then incr v2_errors);
+      if decide ~seed algo (instance s) then incr v2_errors);
   let half = Ratio.of_ints 1 2 in
   let error =
     Ratio.add
@@ -78,8 +80,9 @@ let star_support ~n =
 
 let star_error ?(seed = 0) algo ~n =
   let yes, nos = star_support ~n in
+  let instance = Census.stamp ~n in
   let half = Ratio.of_ints 1 2 in
-  let yes_err = if decide ~seed algo (Census.to_instance yes ~n) then Ratio.zero else Ratio.one in
-  let no_errs = List.filter (fun s -> decide ~seed algo (Census.to_instance s ~n)) nos in
+  let yes_err = if decide ~seed algo (instance yes) then Ratio.zero else Ratio.one in
+  let no_errs = List.filter (fun s -> decide ~seed algo (instance s)) nos in
   Ratio.add (Ratio.mul half yes_err)
     (Ratio.mul half (Ratio.of_ints (List.length no_errs) (List.length nos)))

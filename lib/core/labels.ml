@@ -11,7 +11,7 @@ open Bcclb_graph
    ints; strings remain the presentation layer. *)
 
 let sent_codes ?(seed = 0) algo ~n structure =
-  Bcclb_bcc.Simulator.run_sent_codes ~seed algo (Census.to_instance structure ~n)
+  Bcclb_bcc.Simulator.run_sent_codes ~seed algo (Census.stamp ~n structure)
 
 let string_of_code ~rounds code =
   String.init rounds (fun i -> Bcclb_bcc.Msg.char_of_code1 ((code lsr (2 * i)) land 3))

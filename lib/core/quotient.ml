@@ -11,11 +11,10 @@ module Obs = Bcclb_obs
    automorphisms — for rotation-equivariant transcripts a member's
    degree equals its representative's — so every left-side aggregate is
    a weighted sum over representatives. The right side never appears at
-   all: a representative's neighbours are identified by their packed
-   canonical keys (computed arithmetically from the arc decomposition)
-   and deduplicated per row by sorting, while the global |V₂| and |Tᵢ|
-   come from Census's closed forms. Peak memory is one segment plus one
-   row: n = 13 streams 18.7M representatives standing for the 239.5M
+   all: distinct same-label crossings of a representative reach
+   distinct V₂ structures (see [process_rep]), so its degree is a count
+   of crossing pairs, while the global |V₂| and |Tᵢ| come from Census's
+   closed forms. Peak memory is one segment: n = 13 streams 18.7M representatives standing for the 239.5M
    instances of V₁ against a 197-billion-strong V₂. *)
 
 let reps_metric = Obs.Metrics.Counter.v "quotient.reps"
@@ -57,23 +56,16 @@ let require_sound algo ~n =
   Arena.require_codable ~who:"Quotient" algo ~n
 
 (* Degree computation for one representative, given its executed codes:
-   enumerate independent same-label pairs, identify the crossed
-   structure by its packed canonical key (no V₂ table — n <= 13 keys fit
-   a word), and deduplicate by sorting (key, smaller-length) pairs. *)
+   enumerate independent same-label pairs. Two distinct cut pairs of one
+   cycle split it into distinct pairs of arcs — a split's two cut edges
+   are exactly the cycle edges between its arcs — so every pair reaches
+   a different V₂ structure: the degree is the number of pairs, and no
+   crossed key needs computing or deduplicating. *)
 let process_rep p cyc sent ~weight =
-  let row = ref [] in
-  Indist_graph.iter_crossings Indist_graph.Same_label cyc sent (fun i j smaller ->
-      row := (Arena.cross_key cyc i j, smaller) :: !row);
-  let row = Array.of_list !row in
-  Array.sort compare row;
   let deg = ref 0 in
-  Array.iteri
-    (fun idx (key, smaller) ->
-      if idx = 0 || fst row.(idx - 1) <> key then begin
-        incr deg;
-        p.p_by_smaller.(smaller) <- p.p_by_smaller.(smaller) + weight
-      end)
-    row;
+  Indist_graph.iter_crossings Indist_graph.Same_label cyc sent (fun _ _ smaller ->
+      incr deg;
+      p.p_by_smaller.(smaller) <- p.p_by_smaller.(smaller) + weight);
   let deg = !deg in
   p.p_reps <- p.p_reps + 1;
   p.p_edges <- p.p_edges + (weight * deg);
@@ -117,11 +109,9 @@ let full_stats ?(seed = 0) ?root algo ~n () =
             p_max = 0;
             p_by_smaller = Array.make ((n / 2) + 1) 0 }
         in
-        let neighbors = Array.make n (0, 0) in
+        let neighbors = Array.make (2 * n) 0 in
         Arena.Orbit.iter_segment ~lo ~hi store si (fun cyc ~weight ->
-            for i = 0 to n - 1 do
-              neighbors.(cyc.(i)) <- (cyc.((i + n - 1) mod n), cyc.((i + 1) mod n))
-            done;
+            Census.fill_neighbors neighbors cyc;
             let sent = Simulator.run_sent_codes ~seed algo (stamp neighbors) in
             process_rep p cyc sent ~weight);
         p)

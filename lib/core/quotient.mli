@@ -3,13 +3,14 @@
     beyond the materialisable census.
 
     The left side streams off the segmented orbit store
-    ({!Arena.Orbit}); the right side is never materialised — crossing
-    successors are identified by packed canonical keys and |V₂|, |Tᵢ|
-    come from {!Census}'s closed forms. Sound under the same condition
-    as {!Indist_graph.orbit_applicable}: rotation-equivariant transcripts
-    (anonymous algorithms, or rounds = 0). Peak memory is one segment
-    plus one adjacency row, which is what carries the exhaustive §3
-    pipeline to n = 13. *)
+    ({!Arena.Orbit}); the right side is never materialised — distinct
+    same-label crossings of one cycle reach distinct V₂ structures, so
+    a representative's degree is its number of crossing pairs, and
+    |V₂|, |Tᵢ| come from {!Census}'s closed forms. Sound under the same
+    condition as {!Indist_graph.orbit_applicable}: rotation-equivariant
+    transcripts (anonymous algorithms, or rounds = 0). Peak memory is
+    one segment, which is what carries the exhaustive §3 pipeline to
+    n = 13. *)
 
 type stats = {
   n : int;

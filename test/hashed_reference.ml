@@ -33,7 +33,7 @@ let make ~k () =
     { view; k; hash = hash_of ~coins:(View.coins view) ~k (View.id view); inboxes = [] }
   in
   let neighbor_hashes st =
-    let seqs = Codec.broadcast_sequences ~num_ports:(View.num_ports st.view) ~inboxes:(List.rev st.inboxes) in
+    let seqs = Discovery_reference.broadcast_sequences ~num_ports:(View.num_ports st.view) ~inboxes:(List.rev st.inboxes) in
     List.filter_map
       (fun p ->
         let v, ok = Codec.decode_int ~first:1 ~width:st.k seqs.(p) in
@@ -56,7 +56,7 @@ let make ~k () =
   in
   let finish st ~inbox =
     let inboxes = List.rev (inbox :: st.inboxes) in
-    let seqs = Codec.broadcast_sequences ~num_ports:(View.num_ports st.view) ~inboxes in
+    let seqs = Discovery_reference.broadcast_sequences ~num_ports:(View.num_ports st.view) ~inboxes in
     let buckets = 1 lsl st.k in
     let uf = Conn.create buckets in
     let touched = Array.make buckets false in

@@ -71,6 +71,32 @@ let test_discovery_higher_degree () =
     Alcotest.(check bool) "matches ground truth" (G.is_connected g) (run_decision algo inst)
   done
 
+(* Off the ID promise Discovery refuses instead of answering: 5-bit IDs
+   do not fit the 4-bit field of n = 8 (they used to be truncated into a
+   wrong NO), and KT-0 IDs outside 1..n used to escape as Not_found. *)
+let test_discovery_id_promise () =
+  let refuses algo inst =
+    match Simulator.run algo inst with
+    | _ -> false
+    | exception Invalid_argument msg ->
+      let name = Algo.name algo in
+      String.length msg >= String.length name && String.sub msg 0 (String.length name) = name
+  in
+  let ring = Ggen.cycle 8 in
+  let ids = Array.init 8 (fun i -> 20 + i) in
+  Alcotest.(check bool) "KT-1 IDs 20..27 at n = 8" true
+    (refuses (Discovery.connectivity ~knowledge:Instance.KT1 ~max_degree:2) (Instance.kt1_of_graph ~ids ring));
+  Alcotest.(check bool) "KT-1 ID 0" true
+    (refuses (Discovery.components ~knowledge:Instance.KT1 ~max_degree:2)
+       (Instance.kt1_of_graph ~ids:(Array.init 8 Fun.id) ring));
+  Alcotest.(check bool) "KT-0 IDs 5..12" true
+    (refuses (Discovery.connectivity ~knowledge:Instance.KT0 ~max_degree:2)
+       (Instance.kt0_circulant ~ids:(Array.init 8 (fun i -> 5 + i)) ring));
+  (* The largest IDs the field holds still work. *)
+  Alcotest.(check bool) "KT-1 IDs 8..15 at n = 8" true
+    (run_decision (Discovery.connectivity ~knowledge:Instance.KT1 ~max_degree:2)
+       (Instance.kt1_of_graph ~ids:(Array.init 8 (fun i -> 8 + i)) ring))
+
 let test_truncated_discovery () =
   let n = 16 in
   let full_rounds = Algo.rounds (Discovery.connectivity ~knowledge:Instance.KT0 ~max_degree:2) ~n in
@@ -679,6 +705,7 @@ let suites =
     Alcotest.test_case "discovery components" `Quick test_discovery_components;
     Alcotest.test_case "discovery degree check" `Quick test_discovery_degree_check;
     Alcotest.test_case "discovery degree 4" `Quick test_discovery_higher_degree;
+    Alcotest.test_case "discovery ID promise" `Quick test_discovery_id_promise;
     Alcotest.test_case "truncated discovery" `Quick test_truncated_discovery;
     Alcotest.test_case "min-label" `Quick test_min_label;
     Alcotest.test_case "min-label rounds" `Quick test_min_label_rounds;
@@ -730,6 +757,54 @@ let hashed_parity (n, k, coin, two, cut) =
   r.Simulator.outputs = r'.Simulator.outputs
   && Array.for_all2 Transcript.equal r.Simulator.transcripts r'.Simulator.transcripts
 
+(* Discovery against its history-decoding reference: all five
+   constructors, cut at every t from 0 to the full budget, give the same
+   outputs and, vertex by vertex, equal transcripts. KT-0 instances get
+   a random permutation of 1..n as IDs; KT-1 ones random distinct IDs
+   that fit the ID field, so both ID indexes are exercised. *)
+let discovery_parity (kind, n, d, coin, optimist) =
+  let rng = Rng.create ~seed:(coin + (1000 * n) + d) in
+  let g =
+    if d = 2 then if Rng.bool rng then Ggen.random_multicycle rng n else Ggen.random_cycle rng n
+    else Ggen.random_bounded_degree rng n d
+  in
+  let knowledge, inst =
+    match kind with
+    | 0 -> (Instance.KT0, Instance.kt0_circulant ~ids:(Array.map succ (Rng.permutation rng n)) g)
+    | 1 -> (Instance.KT0, Instance.kt0_random ~ids:(Array.map succ (Rng.permutation rng n)) rng g)
+    | _ ->
+      let span = (1 lsl Codec.id_width ~n) - 1 in
+      let ids = Array.sub (Array.map succ (Rng.permutation rng span)) 0 n in
+      (Instance.KT1, Instance.kt1_of_graph ~ids g)
+  in
+  let same a b =
+    let r = Simulator.run ~seed:coin a inst and r' = Simulator.run ~seed:coin b inst in
+    r.Simulator.outputs = r'.Simulator.outputs
+    && Array.for_all2 Transcript.equal r.Simulator.transcripts r'.Simulator.transcripts
+  in
+  let cut t (Algo.Packed a) = Algo.Packed (Algo.truncate ~rounds:t a) in
+  let max_degree = d in
+  let full = Algo.rounds (Discovery.connectivity ~knowledge ~max_degree) ~n in
+  List.for_all
+    (fun t ->
+      let module R = Discovery_reference in
+      same
+        (cut t (Discovery.connectivity ~knowledge ~max_degree))
+        (cut t (R.connectivity ~knowledge ~max_degree))
+      && same
+           (cut t (Discovery.components ~knowledge ~max_degree))
+           (cut t (R.components ~knowledge ~max_degree))
+      && same
+           (cut t (Discovery.connectivity_guess_no ~knowledge ~max_degree))
+           (cut t (R.connectivity_guess_no ~knowledge ~max_degree))
+      && same
+           (Discovery.connectivity_truncated ~knowledge ~max_degree ~rounds:t ~optimist)
+           (R.connectivity_truncated ~knowledge ~max_degree ~rounds:t ~optimist)
+      && same
+           (Discovery.connectivity_partial ~knowledge ~max_degree ~rounds:t ~optimist)
+           (R.connectivity_partial ~knowledge ~max_degree ~rounds:t ~optimist))
+    (List.init (full + 1) Fun.id)
+
 let qsuites =
   let open QCheck2 in
   let hashed_case ns ks =
@@ -770,6 +845,10 @@ let qsuites =
     Test.make ~name:"hashed discovery matches its reference at k = 20" ~count:4 ~print
       (hashed_case Gen.(4 -- 12) (Gen.pure 20))
       hashed_parity;
+    Test.make ~name:"discovery matches its history-decoding reference" ~count:60
+      ~print:Print.(tup5 int int int int bool)
+      Gen.(tup5 (0 -- 2) (6 -- 14) (2 -- 4) (0 -- 100000) bool)
+      discovery_parity;
     Test.make ~name:"discovery agrees with ground truth on multicycles" ~count:60
       Gen.(pair (6 -- 20) (0 -- 100000))
       (fun (n, seed) ->

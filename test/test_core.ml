@@ -143,6 +143,36 @@ let test_hard_distribution_baselines () =
   let r2 = Hard_distribution.exact_error full ~n in
   Alcotest.(check bool) "full algorithm exact" true (Bcclb_bignum.Ratio.is_zero r2.Hard_distribution.error)
 
+(* The census sweeps stamp their instances over shared circulant tables
+   and skip validation: every stamped V₁ ∪ V₂ instance must be the one
+   the validating constructor builds, port_to included (Instance.equal
+   does not compare it), and the stamped error sweep must visit the
+   whole census. *)
+let test_stamp_matches_validated () =
+  List.iter
+    (fun n ->
+      let stamp = Census.stamp ~n in
+      let check s =
+        let a = stamp s and b = Census.to_instance s ~n in
+        Alcotest.(check bool) "stamped = validated" true (Instance.equal a b);
+        for v = 0 to n - 1 do
+          for u = 0 to n - 1 do
+            if u <> v && Instance.port_to a v u <> Instance.port_to b v u then
+              Alcotest.failf "n=%d: port_to %d %d differs" n v u
+          done
+        done
+      in
+      Census.iter_one_cycles ~n check;
+      Census.iter_two_cycles ~n check;
+      let r = Hard_distribution.exact_error (truncated ~rounds:1) ~n in
+      Alcotest.(check int) "V1 total" (Census.num_one_cycles ~n) r.Hard_distribution.v1_total;
+      Alcotest.(check int) "V2 total" (Census.num_two_cycles ~n) r.Hard_distribution.v2_total)
+    [ 6; 7; 8 ];
+  Alcotest.(check bool) "a structure must cover every vertex" true
+    (match Census.stamp ~n:7 (Cycles.make [ [| 0; 1; 2; 3; 4; 5 |] ]) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let test_error_monotone_in_rounds () =
   (* Error stays >= 1/4 for small t and drops to 0 at full rounds. *)
   let n = 7 in
@@ -432,6 +462,7 @@ let test_lemma_3_9_t_i_bound () =
 let suites =
   [ Alcotest.test_case "census counts" `Quick test_census_counts;
     Alcotest.test_case "census distinct" `Quick test_census_distinct;
+    Alcotest.test_case "census stamp = validated instance" `Quick test_stamp_matches_validated;
     Alcotest.test_case "cross one cycle" `Quick test_cross_one_cycle;
     Alcotest.test_case "cross/merge inverse" `Quick test_cross_two_cycles_inverse;
     Alcotest.test_case "label pigeonhole" `Quick test_labels_pigeonhole;

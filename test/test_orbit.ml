@@ -135,6 +135,21 @@ let qtest_cross_key_property =
         let expect = Arena.key_two (Census.cross_one_cycle cyc i j) in
         Arena.cross_key cyc i j = expect)
 
+(* Quotient.full_stats counts a representative's degree as its number of
+   crossing pairs: distinct pairs of one cycle must reach distinct
+   two-cycle structures. *)
+let qtest_crossings_distinct =
+  let open QCheck2 in
+  Test.make ~name:"a cycle's crossings reach distinct structures" ~count:100
+    Gen.(pair (Arena.min_n -- Arena.max_n) (0 -- 1_000_000))
+    (fun (n, seed) ->
+      let cyc = Rng.permutation (Rng.create ~seed) n in
+      let keys = ref [] in
+      Indist_graph.iter_crossings Indist_graph.Same_label cyc (Array.make n 0) (fun i j _ ->
+          keys := Arena.cross_key cyc i j :: !keys);
+      let sorted = List.sort_uniq Int.compare !keys in
+      List.length !keys = n * (n - 5) / 2 && List.length sorted = List.length !keys)
+
 let qtest_cross_key_packed_property =
   let open QCheck2 in
   Test.make ~name:"cross_key_packed agrees beyond the word-key range" ~count:150
@@ -485,4 +500,6 @@ let suites =
     Alcotest.test_case "check_reps weighted sweep" `Slow test_check_reps_weighted;
     Alcotest.test_case "check_reps soundness gate" `Quick test_check_reps_rejects_unsound ]
 
-let qsuites = [ qtest_cross_key_property; qtest_cross_key_packed_property; qtest_seq_packed_roundtrip ]
+let qsuites =
+  [ qtest_cross_key_property; qtest_crossings_distinct; qtest_cross_key_packed_property;
+    qtest_seq_packed_roundtrip ]
