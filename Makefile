@@ -14,8 +14,8 @@ test:
 # always rebuildable) are cleaned up so they never end up in commits.
 check:
 	rm -f *.trace.json *.trace.jsonl *.sock
-	rm -f BENCH_current.json BENCH_doctored.json scrape.txt
-	rm -rf results/cache/arena telemetry-* e15-*
+	rm -f BENCH_current.json BENCH_doctored.json
+	rm -rf results/cache/arena e15-*
 	dune build && dune runtest
 
 bench:

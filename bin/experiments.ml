@@ -46,22 +46,11 @@ let backend_arg =
 let workers_arg =
   Arg.(
     value
-    & opt (some string) None
-    & info [ "workers" ] ~docv:"N|ROSTER"
+    & opt (some int) None
+    & info [ "workers" ] ~docv:"N"
         ~doc:
-          "Worker roster. A count $(b,N) spawns that many local worker processes for \
-           $(b,--backend procs) (default: the $(b,--jobs) resolution). A comma-separated \
-           address list ($(b,tcp:HOST:PORT,tcp:[V6HOST]:PORT,unix:PATH)) connects to \
-           pre-started $(b,experiments worker --listen) processes instead — and implies \
-           the procs backend. Ignored by the domains backend when it is a count.")
-
-let tcp_arg =
-  Arg.(
-    value & flag
-    & info [ "tcp" ]
-        ~doc:
-          "With $(b,--backend procs): talk to workers over loopback TCP instead of a \
-           Unix-domain socket.")
+          "Worker processes for $(b,--backend procs) (default: the $(b,--jobs) \
+           resolution). Ignored by the domains backend.")
 
 let results_arg =
   Arg.(
@@ -78,16 +67,6 @@ let trace_arg =
           "Write a Chrome trace_event file (open in Perfetto / about:tracing) plus a JSONL \
            span log next to it. $(b,BCCLB_TRACE)=FILE does the same without the flag.")
 
-let metrics_addr_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-addr" ] ~docv:"ADDR"
-        ~doc:
-          "Expose the live metrics registry as OpenMetrics text on $(docv) \
-           ($(b,tcp:HOST:PORT) or $(b,unix:PATH)) for the duration of the command. Scrape \
-           it with Prometheus, curl, or $(b,experiments stats --follow ADDR).")
-
 let resolved_domains jobs =
   match jobs with Some j -> j | None -> Bcclb_engine.Pool.default_num_domains ()
 
@@ -100,48 +79,20 @@ let require_positive flag v =
     Stdlib.exit 2
   | _ -> ()
 
-(* --workers is either a process count (self-spawned roster) or an
-   address list (pre-started roster). *)
-let parse_workers s =
-  match int_of_string_opt (String.trim s) with
-  | Some w ->
-    if w < 1 then begin
-      Printf.eprintf "experiments: --workers must be >= 1 (got %d)\n" w;
-      Stdlib.exit 2
-    end;
-    `Count w
-  | None -> (
-    match Bcclb_dist.Addr.roster_of_string s with
-    | Ok addrs -> `Roster (List.map Bcclb_dist.Addr.to_string addrs)
-    | Error e ->
-      Printf.eprintf "experiments: --workers: %s\n" e;
-      Stdlib.exit 2)
-
 (* The procs backend self-execs this very binary as `experiments worker
-   --socket ADDR`; install wires that spawn into the Runner hook. A
-   pre-started roster never spawns, but installs the same runner. *)
-let resolve_backend ~backend ~jobs ~workers ~tcp =
+   --socket PATH`; install wires that spawn into the Runner hook. *)
+let resolve_backend ~backend ~jobs ~workers =
   require_positive "--jobs" jobs;
-  let workers = Option.map parse_workers workers in
-  let install () =
+  require_positive "--workers" workers;
+  match backend with
+  | `Domains -> `Domains
+  | `Procs ->
     Bcclb_dist.Backend.install
-      ~transport:(if tcp then `Tcp else `Unix_socket)
       ~spawn:
-        (Bcclb_dist.Backend.spawn_argv (fun addr ->
-             [| Sys.executable_name; "worker"; "--socket"; addr |]))
-      ()
-  in
-  match (backend, workers) with
-  | _, Some (`Roster entries) ->
-    install ();
-    `Roster entries
-  | `Domains, _ -> `Domains
-  | `Procs, Some (`Count w) ->
-    install ();
-    `Procs w
-  | `Procs, None ->
-    install ();
-    `Procs (resolved_domains jobs)
+        (Bcclb_dist.Backend.spawn_argv (fun path ->
+             [| Sys.executable_name; "worker"; "--socket"; path |]))
+      ();
+    `Procs (match workers with Some w -> w | None -> resolved_domains jobs)
 
 (* Tracing wraps a whole invocation: --trace wins over $BCCLB_TRACE, and
    the files are written once the run (and its manifest) is done. *)
@@ -160,27 +111,6 @@ let with_trace trace f =
         Obs.Trace.stop ()
       end)
     f
-
-(* --metrics-addr wraps a whole invocation too: bind the OpenMetrics
-   endpoint before the work starts, tear it down (join the acceptor,
-   unlink the socket) once the work is done, whatever the exit path. *)
-let with_metrics metrics f =
-  match metrics with
-  | None -> f ()
-  | Some spec -> (
-    match Bcclb_dist.Addr.of_string spec with
-    | Error e ->
-      Printf.eprintf "experiments: --metrics-addr: %s\n" e;
-      Stdlib.exit 2
-    | Ok address -> (
-      match Bcclb_dist.Expose.start ~address () with
-      | Error e ->
-        Printf.eprintf "experiments: --metrics-addr: %s\n" e;
-        Stdlib.exit 2
-      | Ok endpoint ->
-        Printf.eprintf "[metrics] OpenMetrics on %s\n%!"
-          (Bcclb_dist.Addr.to_string (Bcclb_dist.Expose.address endpoint));
-        Fun.protect ~finally:(fun () -> Bcclb_dist.Expose.stop endpoint) f))
 
 (* A --n override is validated against each experiment's declared range
    BEFORE any enumeration starts: an infeasible size is a one-line
@@ -279,7 +209,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const (fun id ns no_cache jobs backend workers tcp results_dir trace metrics ->
+      const (fun id ns no_cache jobs backend workers results_dir trace ->
           match H.Registry.find id with
           | None ->
             (match H.Registry.suggest id with
@@ -294,65 +224,37 @@ let run_cmd =
                 id);
             Stdlib.exit 2
           | Some exp ->
-            let backend = resolve_backend ~backend ~jobs ~workers ~tcp in
-            with_metrics metrics (fun () ->
-                with_trace trace (fun () ->
-                    run_experiments ~results_dir ~no_cache ~jobs ~backend ~ns [ exp ])))
-      $ id_arg $ ns_arg $ no_cache_arg $ jobs_arg $ backend_arg $ workers_arg $ tcp_arg
-      $ results_arg $ trace_arg $ metrics_addr_arg)
+            let backend = resolve_backend ~backend ~jobs ~workers in
+            with_trace trace (fun () ->
+                run_experiments ~results_dir ~no_cache ~jobs ~backend ~ns [ exp ]))
+      $ id_arg $ ns_arg $ no_cache_arg $ jobs_arg $ backend_arg $ workers_arg $ results_arg
+      $ trace_arg)
 
 let all_cmd =
   let doc = "Run every experiment at default scale" in
   Cmd.v (Cmd.info "all" ~doc)
     Term.(
-      const (fun no_cache jobs backend workers tcp results_dir trace metrics ->
-          let backend = resolve_backend ~backend ~jobs ~workers ~tcp in
-          with_metrics metrics (fun () ->
-              with_trace trace (fun () ->
-                  run_experiments ~results_dir ~no_cache ~jobs ~backend ~ns:None H.Registry.all)))
-      $ no_cache_arg $ jobs_arg $ backend_arg $ workers_arg $ tcp_arg $ results_arg
-      $ trace_arg $ metrics_addr_arg)
+      const (fun no_cache jobs backend workers results_dir trace ->
+          let backend = resolve_backend ~backend ~jobs ~workers in
+          with_trace trace (fun () ->
+              run_experiments ~results_dir ~no_cache ~jobs ~backend ~ns:None H.Registry.all))
+      $ no_cache_arg $ jobs_arg $ backend_arg $ workers_arg $ results_arg $ trace_arg)
 
-(* The worker process. Two modes: --socket is the hidden half of
-   --backend procs (the coordinator self-execs it, it dials back);
-   --listen is the pre-started half of --workers rosters (it binds an
-   address and serves coordinator sessions until SIGINT/SIGTERM). *)
+(* The worker process: the hidden half of --backend procs (the
+   coordinator self-execs it, it dials back). *)
 let worker_cmd =
   let socket_arg =
     Arg.(
-      value
+      required
       & opt (some string) None
-      & info [ "socket" ] ~docv:"ADDR"
+      & info [ "socket" ] ~docv:"PATH"
           ~doc:
-            "Dial-back mode (internal, spawned by $(b,--backend procs)): connect to the \
-             coordinator at $(docv), $(b,unix:PATH) or $(b,tcp:HOST:PORT).")
-  in
-  let listen_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "listen" ] ~docv:"ADDR"
-          ~doc:
-            "Pre-started roster mode: bind $(docv) (e.g. $(b,tcp:127.0.0.1:7801)) and \
-             serve coordinator sessions — one sweep after another — until SIGINT/SIGTERM, \
-             then drain and remove the endpoint. Point a coordinator at it with \
-             $(b,--workers ADDR,...).")
+            "Connect to the coordinator's Unix-domain socket at $(docv) (internal, spawned \
+             by $(b,--backend procs)).")
   in
   Cmd.v
-    (Cmd.info "worker"
-       ~doc:
-         "dist worker process: spawned by --backend procs, or pre-started with --listen \
-          for --workers rosters")
-    Term.(
-      const (fun socket listen metrics ->
-          match (socket, listen) with
-          | Some address, None -> Bcclb_dist.Worker.main ~address ()
-          | None, Some address ->
-            with_metrics metrics (fun () -> Bcclb_dist.Worker.main_listen ~address ())
-          | _ ->
-            Printf.eprintf "experiments worker: exactly one of --socket or --listen is required\n";
-            Stdlib.exit 2)
-      $ socket_arg $ listen_arg $ metrics_addr_arg)
+    (Cmd.info "worker" ~doc:"dist worker process, spawned by --backend procs")
+    Term.(const (fun address -> Bcclb_dist.Worker.main ~address ()) $ socket_arg)
 
 (* ---- stats: render the manifest's metrics block as a table ---- *)
 
@@ -387,102 +289,11 @@ let print_metrics metrics =
       | _ -> Printf.printf "%-28s %-9s ?\n" name "?")
     metrics
 
-(* Live mode: poll a --metrics-addr endpoint, strictly parse each
-   scrape (a malformed exposition is a hard failure — this loop doubles
-   as the OpenMetrics linter in CI), and print the non-bucket samples.
-   Buckets are elided from the table: the quantile family carries the
-   same signal in three lines instead of a dozen. *)
-let print_samples samples =
-  List.iter
-    (fun { Obs.Expo.name; labels; value } ->
-      if not (Filename.check_suffix name "_bucket") then begin
-        let rendered =
-          match labels with
-          | [] -> name
-          | l ->
-            name ^ "{"
-            ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%S" k v) l)
-            ^ "}"
-        in
-        Printf.printf "%-52s %s\n" rendered (Printf.sprintf "%.9g" value)
-      end)
-    samples
-
-let follow_stats ~spec ~interval ~iterations =
-  (match iterations with
-  | n when n < 0 ->
-    Printf.eprintf "experiments stats: --iterations must be >= 0 (got %d)\n" n;
-    Stdlib.exit 2
-  | _ -> ());
-  if interval <= 0.0 then begin
-    Printf.eprintf "experiments stats: --interval must be > 0 (got %g)\n" interval;
-    Stdlib.exit 2
-  end;
-  match Bcclb_dist.Addr.of_string spec with
-  | Error e ->
-    Printf.eprintf "experiments stats: --follow: %s\n" e;
-    Stdlib.exit 2
-  | Ok addr ->
-    let stop = Bcclb_dist.Transport.install_stop_signals () in
-    let polls = ref 0 and misses = ref 0 in
-    let rec loop () =
-      if not (Bcclb_dist.Transport.stop_requested stop) then begin
-        (match Bcclb_dist.Expose.scrape addr with
-        | Error e ->
-          (* A refused connect can be a sweep that has not bound yet;
-             tolerate a few before giving up. *)
-          incr misses;
-          Printf.eprintf "experiments stats: %s\n%!" e;
-          if !misses > 5 then Stdlib.exit 1
-        | Ok body -> (
-          match Obs.Expo.parse body with
-          | Error e ->
-            Printf.eprintf "experiments stats: malformed exposition: %s\n" e;
-            Stdlib.exit 1
-          | Ok samples ->
-            misses := 0;
-            incr polls;
-            Printf.printf "-- %s: scrape %d, %d samples --\n" spec !polls (List.length samples);
-            print_samples samples;
-            print_newline ();
-            flush stdout));
-        if iterations = 0 || !polls < iterations then begin
-          (try Unix.sleepf interval with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-          loop ()
-        end
-      end
-    in
-    loop ()
-
 let stats_cmd =
   let doc = "Summarize the metrics block of an existing run manifest" in
-  let follow_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "follow" ] ~docv:"ADDR"
-          ~doc:
-            "Instead of reading a manifest, poll the live OpenMetrics endpoint a running \
-             command exposes via $(b,--metrics-addr) at $(docv), strictly validating every \
-             scrape (exits nonzero on a malformed exposition).")
-  in
-  let interval_arg =
-    Arg.(
-      value & opt float 2.0
-      & info [ "interval" ] ~docv:"SECONDS" ~doc:"Delay between $(b,--follow) polls.")
-  in
-  let iterations_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "iterations" ] ~docv:"N"
-          ~doc:"Stop after $(docv) successful $(b,--follow) polls (0 = until SIGINT).")
-  in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(
-      const (fun results_dir follow interval iterations ->
-          match follow with
-          | Some spec -> follow_stats ~spec ~interval ~iterations
-          | None ->
+      const (fun results_dir ->
           let path = Filename.concat results_dir "manifest.json" in
           if not (Sys.file_exists path) then begin
             Printf.eprintf
@@ -509,7 +320,7 @@ let stats_cmd =
             | _ ->
               Printf.eprintf "experiments stats: manifest has no metrics block (pre-v2?)\n";
               Stdlib.exit 2))
-      $ results_arg $ follow_arg $ interval_arg $ iterations_arg)
+      $ results_arg)
 
 let () =
   let info =

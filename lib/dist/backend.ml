@@ -20,31 +20,12 @@ let spawn_argv argv_of_address ~address =
     ~finally:(fun () -> Unix.close devnull)
     (fun () -> Unix.create_process argv.(0) argv devnull Unix.stderr Unix.stderr)
 
-let install ?transport ?heartbeat_interval ?heartbeat_timeout ?cell_timeout ?max_retries
-    ?lease_target_seconds ~spawn () =
+let install ?heartbeat_timeout ?cell_timeout ~spawn () =
   let heartbeat_timeout =
-    Some (env_float heartbeat_timeout_env (Option.value heartbeat_timeout ~default:30.0))
+    env_float heartbeat_timeout_env (Option.value heartbeat_timeout ~default:30.0)
   in
-  let cell_timeout =
-    Some (env_float cell_timeout_env (Option.value cell_timeout ~default:600.0))
-  in
-  H.Runner.set_procs_runner (fun ~roster ~cache ~exp ~cells ->
-      let c =
-        match roster with
-        | `Local workers ->
-          Coordinator.config ?transport ?heartbeat_interval ?heartbeat_timeout ?cell_timeout
-            ?max_retries ?lease_target_seconds ~spawn ~workers ()
-        | `Remote entries ->
-          let remotes =
-            List.map
-              (fun s ->
-                match Addr.of_string s with
-                | Ok a -> a
-                | Error e -> failwith ("dist: --workers roster: " ^ e))
-              entries
-          in
-          Coordinator.config ?transport ?heartbeat_interval ?heartbeat_timeout ?cell_timeout
-            ?max_retries ?lease_target_seconds ~remotes ~spawn
-            ~workers:(List.length remotes) ()
-      in
-      Coordinator.run c ~cache ~exp ~cells)
+  let cell_timeout = env_float cell_timeout_env (Option.value cell_timeout ~default:600.0) in
+  H.Runner.set_procs_runner (fun ~workers ~cache ~exp ~cells ->
+      Coordinator.run
+        (Coordinator.config ~heartbeat_timeout ~cell_timeout ~spawn ~workers ())
+        ~cache ~exp ~cells)

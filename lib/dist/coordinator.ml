@@ -1,11 +1,11 @@
 (* The coordinator event loop. Single-threaded: one select over the
-   (optional) listener and every worker socket, then four passes per
-   tick — population (spawn up to the target while work remains, local
-   rosters only), assignment (idle workers get a batched cell lease, or
-   steal the tail of the slowest lease when the queue is dry), reaping
-   (waitpid WNOHANG so crashed local pids are seen even before their
-   socket EOFs), and deadlines (leased workers against cell_timeout
-   since their last progress, idle ones against heartbeat_timeout). All
+   listener and every worker socket, then four passes per tick —
+   population (spawn up to the target while work remains), assignment
+   (idle workers get a batched cell lease, or steal the tail of the
+   slowest lease when the queue is dry), reaping (waitpid WNOHANG so
+   crashed pids are seen even before their socket EOFs), and deadlines
+   (leased workers against cell_timeout since their last progress, idle
+   ones against heartbeat_timeout). All
    worker fds are nonblocking and read through Transport.Conn.pump;
    frames the reader rejects poison the connection and the worker is
    treated as crashed.
@@ -36,42 +36,27 @@ let heartbeats_metric = Obs.Metrics.Counter.v "dist.heartbeats"
 let deltas_metric = Obs.Metrics.Counter.v "dist.metric_deltas_absorbed"
 let snapshots_metric = Obs.Metrics.Counter.v "dist.metric_snapshots_absorbed"
 let rejects_metric = Obs.Metrics.Counter.v "dist.handshake_rejects"
-let remote_joins = Obs.Metrics.Counter.v "dist.remote_workers_joined"
 let spans_ingested = Obs.Metrics.Counter.v "dist.spans_ingested"
 
-type roster = Local_spawn of int | Remote of Addr.t list
-
 type config = {
-  roster : roster;
-  transport : [ `Unix_socket | `Tcp ];
-  heartbeat_interval : float;
+  workers : int;
   heartbeat_timeout : float;
   cell_timeout : float;
-  max_retries : int;
-  lease_target_seconds : float;
   spawn : address:string -> int;
 }
 
-let config ?(transport = `Unix_socket) ?(heartbeat_interval = 0.25) ?(heartbeat_timeout = 30.0)
-    ?(cell_timeout = 600.0) ?(max_retries = 2) ?(lease_target_seconds = 1.0) ?(remotes = [])
-    ~spawn ~workers () =
-  let roster =
-    match remotes with
-    | [] ->
-      if workers < 1 then invalid_arg "Coordinator.config: workers must be >= 1";
-      Local_spawn workers
-    | rs -> Remote rs
-  in
-  {
-    roster;
-    transport;
-    heartbeat_interval;
-    heartbeat_timeout;
-    cell_timeout;
-    max_retries;
-    lease_target_seconds;
-    spawn;
-  }
+(* Told to workers in Init. *)
+let heartbeat_interval = 0.25
+
+(* Worker deaths tolerated per cell. *)
+let max_retries = 2
+
+(* Adaptive lease sizing aims at this much work per lease. *)
+let lease_target_seconds = 1.0
+
+let config ?(heartbeat_timeout = 30.0) ?(cell_timeout = 600.0) ~spawn ~workers () =
+  if workers < 1 then invalid_arg "Coordinator.config: workers must be >= 1";
+  { workers; heartbeat_timeout; cell_timeout; spawn }
 
 type wstate =
   | Greeting  (** Connected, no accepted [Hello] yet. *)
@@ -80,13 +65,10 @@ type wstate =
 
 type conn = {
   tc : Conn.t;
-  origin : [ `Local | `Remote of Addr.t ];
   mutable pid : int;  (* -1 until Hello *)
   mutable state : wstate;
   mutable lease : int list;  (* outstanding cells, current first *)
   mutable progress_at : float;  (* lease grant or last Result *)
-  established_ns : int;  (* raw Mclock at accept/dial: handshake send side *)
-  mutable offset_ns : int;  (* worker clock -> our clock, from the Hello RTT *)
 }
 
 let now = Transport.now
@@ -100,32 +82,18 @@ let run c ~cache ~exp ~cells =
   if n = 0 then [||]
   else begin
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    let expected =
-      match c.roster with Local_spawn w -> w | Remote rs -> List.length rs
-    in
     Obs.span "dist.sweep"
       ~attrs:
         [
           ("experiment", exp.H.Experiment.id);
           ("cells", string_of_int n);
-          ("workers", string_of_int expected);
+          ("workers", string_of_int c.workers);
         ]
     @@ fun () ->
-    (* A listener only exists for self-populated rosters; remote rosters
-       dial out instead. *)
-    let listener =
-      match c.roster with
-      | Local_spawn _ ->
-        let l = Transport.listen_local c.transport in
-        Unix.set_nonblock (Transport.listener_fd l);
-        Some l
-      | Remote _ -> None
-    in
-    let address =
-      match listener with
-      | Some l -> Addr.to_string (Transport.listener_addr l)
-      | None -> ""
-    in
+    let listener = Transport.listen_local () in
+    let lfd = Transport.listener_fd listener in
+    Unix.set_nonblock lfd;
+    let address = Transport.listener_path listener in
     let results : (H.Runner.cell_outcome * float) option array = Array.make n None in
     let failures : string option array = Array.make n None in
     let grants = Array.make n 0 in  (* lease grants, incl. steals: the wire's [attempt] *)
@@ -138,7 +106,7 @@ let run c ~cache ~exp ~cells =
     let helloed : (int, unit) Hashtbl.t = Hashtbl.create 16 in
     let unconnected = ref 0 in
     let spawned = ref 0 in
-    let spawn_cap = expected + ((c.max_retries + 1) * n) in
+    let spawn_cap = c.workers + ((max_retries + 1) * n) in
     let shutdown_at = ref None in
     (* EWMA of observed per-cell seconds, for adaptive lease sizes. *)
     let avg_cell = ref None in
@@ -174,7 +142,7 @@ let run c ~cache ~exp ~cells =
     let requeue i =
       Obs.Metrics.Counter.incr requeues;
       losses.(i) <- losses.(i) + 1;
-      if losses.(i) > c.max_retries then
+      if losses.(i) > max_retries then
         fail "cell %d (%s) of %s lost its worker %d times; giving up" i
           (H.Params.canonical cells.(i))
           exp.H.Experiment.id losses.(i);
@@ -182,19 +150,15 @@ let run c ~cache ~exp ~cells =
     in
 
     (* Graceful end of a connection (after Bye): no kill, no requeue —
-       a local pid is reaped by the WNOHANG pass once it exits; a
-       remote worker goes back to accepting its next coordinator. *)
+       the pid is reaped by the WNOHANG pass once it exits. *)
     let retire conn = Conn.close conn.tc in
-    (* Crash/timeout path: close, kill a local process (a remote one is
-       out of reach — the active set just shrinks), and requeue the
+    (* Crash/timeout path: close, kill the process, and requeue the
        outstanding lease. *)
     let destroy ?(kill = true) conn =
       if not (Conn.is_closed conn.tc) then begin
         Conn.close conn.tc;
-        (match conn.origin with
-        | `Local when kill && conn.pid > 0 -> (
-          try Unix.kill conn.pid Sys.sigkill with Unix.Unix_error _ -> ())
-        | _ -> ());
+        if kill && conn.pid > 0 then (
+          try Unix.kill conn.pid Sys.sigkill with Unix.Unix_error _ -> ());
         Obs.Metrics.Counter.incr worker_deaths;
         let lease = conn.lease in
         conn.lease <- [];
@@ -211,21 +175,21 @@ let run c ~cache ~exp ~cells =
         (List.filter (fun k -> (not (Conn.is_closed k.tc)) && k.state = Ready) !conns)
     in
 
-    (* Lease sizing: carve the remaining grid fairly across the roster
+    (* Lease sizing: carve the remaining grid fairly across the workers
        while latency is unknown, then shrink to ~lease_target_seconds
        of work per batch once cell times are observed. Shrinking fair
        shares as the grid drains is what makes the active set contract
        near the end — late leases are small, and idle workers steal the
        stragglers' tails. *)
     let lease_size () =
-      let live = max expected (max 1 (live_ready ())) in
+      let live = max c.workers (max 1 (live_ready ())) in
       let remaining = max 1 (n - !resolved) in
       let fair = max 1 ((remaining + live - 1) / live) in
       match !avg_cell with
       | None -> fair
       | Some a ->
         let by_latency =
-          int_of_float (Float.ceil (c.lease_target_seconds /. Float.max a 1e-6))
+          int_of_float (Float.ceil (lease_target_seconds /. Float.max a 1e-6))
         in
         max 1 (min fair by_latency)
     in
@@ -301,35 +265,18 @@ let run c ~cache ~exp ~cells =
     in
 
     let handle conn = function
-      | Msg.Hello { pid; fingerprint; cache_epoch; now_ns } -> (
+      | Msg.Hello { pid; fingerprint; cache_epoch } -> (
         conn.pid <- pid;
-        (* The worker read its clock between our connection setup and
-           this receipt; the midpoint estimate places every span it
-           ships at or after the moment we initiated the connection. *)
-        conn.offset_ns <-
-          Obs.Trace.offset_of_handshake ~sent_ns:conn.established_ns
-            ~recv_ns:(Obs.Mclock.now_ns ()) ~remote_ns:now_ns;
-        (match conn.origin with
-        | `Local -> Hashtbl.replace helloed pid ()
-        | `Remote _ -> ());
+        Hashtbl.replace helloed pid ();
         match Msg.handshake_error ~fingerprint ~cache_epoch with
-        | Some reason -> (
+        | Some reason ->
           Obs.Metrics.Counter.incr rejects_metric;
           send conn (Msg.Reject { reason });
-          match conn.origin with
-          | `Local ->
-            (* A self-spawned worker can only skew via a broken deploy
-               (or the test hook); respawning the same binary cannot
-               help, so fail loudly now. *)
-            fail "worker %d rejected at handshake: %s" pid reason
-          | `Remote addr ->
-            Printf.eprintf "[dist] roster worker %s rejected: %s\n%!" (Addr.to_string addr)
-              reason;
-            destroy ~kill:false conn)
+          (* A self-spawned worker can only skew via a broken deploy (or
+             the test hook); respawning the same binary cannot help, so
+             fail loudly now. *)
+          fail "worker %d rejected at handshake: %s" pid reason
         | None ->
-          (match conn.origin with
-          | `Remote _ -> Obs.Metrics.Counter.incr remote_joins
-          | `Local -> ());
           if !shutdown_at <> None then begin
             (* Late joiner of a finished sweep: straight to goodbye. *)
             send conn Msg.Shutdown;
@@ -342,7 +289,7 @@ let run c ~cache ~exp ~cells =
                  {
                    exp_id = exp.H.Experiment.id;
                    cache_root = Option.map H.Cache.root cache;
-                   heartbeat_interval = c.heartbeat_interval;
+                   heartbeat_interval;
                    trace = Obs.Trace.context ();
                  })
           end)
@@ -360,14 +307,14 @@ let run c ~cache ~exp ~cells =
         Obs.Metrics.absorb metrics;
         Obs.Metrics.Counter.incr deltas_metric;
         if spans <> [] then begin
-          Obs.Trace.ingest ~offset_ns:conn.offset_ns spans;
+          Obs.Trace.ingest ~offset_ns:0 spans;
           Obs.Metrics.Counter.add spans_ingested (List.length spans)
         end
       | Msg.Bye { metrics; spans } ->
         Obs.Metrics.absorb metrics;
         Obs.Metrics.Counter.incr snapshots_metric;
         if spans <> [] then begin
-          Obs.Trace.ingest ~offset_ns:conn.offset_ns spans;
+          Obs.Trace.ingest ~offset_ns:0 spans;
           Obs.Metrics.Counter.add spans_ingested (List.length spans)
         end;
         retire conn
@@ -390,47 +337,11 @@ let run c ~cache ~exp ~cells =
       | `Error _ -> destroy conn
     in
 
-    let accept_new l =
-      Transport.accept_all l ~on_conn:(fun tc ->
+    let accept_new () =
+      Transport.accept_all listener ~on_conn:(fun tc ->
           Unix.set_nonblock (Conn.fd tc);
           if !unconnected > 0 then decr unconnected;
-          conns :=
-            {
-              tc;
-              origin = `Local;
-              pid = -1;
-              state = Greeting;
-              lease = [];
-              progress_at = now ();
-              established_ns = Obs.Mclock.now_ns ();
-              offset_ns = 0;
-            }
-            :: !conns)
-    in
-
-    let dial_roster () =
-      match c.roster with
-      | Local_spawn _ -> ()
-      | Remote addrs ->
-        List.iter
-          (fun a ->
-            match Conn.dial ~tries:100 a with
-            | Ok tc ->
-              Unix.set_nonblock (Conn.fd tc);
-              conns :=
-                {
-                  tc;
-                  origin = `Remote a;
-                  pid = -1;
-                  state = Greeting;
-                  lease = [];
-                  progress_at = now ();
-                  established_ns = Obs.Mclock.now_ns ();
-                  offset_ns = 0;
-                }
-                :: !conns
-            | Error e -> fail "cannot reach roster worker %s: %s" (Addr.to_string a) e)
-          addrs
+          conns := { tc; pid = -1; state = Greeting; lease = []; progress_at = now () } :: !conns)
     in
 
     let reap () =
@@ -481,19 +392,14 @@ let run c ~cache ~exp ~cells =
     in
 
     let ensure_workers () =
-      match c.roster with
-      | Remote _ -> ()
-      | Local_spawn target ->
-        if !shutdown_at = None then begin
-          let live =
-            List.length (List.filter (fun k -> not (Conn.is_closed k.tc)) !conns)
-            + !unconnected
-          in
-          let want = min target (n - !resolved) in
-          for _ = live + 1 to want do
-            spawn_one ()
-          done
-        end
+      if !shutdown_at = None then begin
+        let live =
+          List.length (List.filter (fun k -> not (Conn.is_closed k.tc)) !conns) + !unconnected
+        in
+        for _ = live + 1 to min c.workers (n - !resolved) do
+          spawn_one ()
+        done
+      end
     in
 
     let assign () =
@@ -523,10 +429,7 @@ let run c ~cache ~exp ~cells =
       List.iter
         (fun conn ->
           Conn.close conn.tc;
-          match conn.origin with
-          | `Local when conn.pid > 0 -> (
-            try Unix.kill conn.pid Sys.sigkill with Unix.Unix_error _ -> ())
-          | _ -> ())
+          if conn.pid > 0 then try Unix.kill conn.pid Sys.sigkill with Unix.Unix_error _ -> ())
         !conns;
       Hashtbl.iter
         (fun pid () -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
@@ -535,40 +438,31 @@ let run c ~cache ~exp ~cells =
         (fun pid () ->
           try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
         live_pids;
-      match listener with Some l -> Transport.close_listener l | None -> ()
+      Transport.close_listener listener
     in
 
     Fun.protect ~finally:cleanup @@ fun () ->
-    dial_roster ();
     let finished () = !resolved = n && !conns = [] && Hashtbl.length live_pids = 0 in
     while not (finished ()) do
       ensure_workers ();
       assign ();
       if !resolved = n then broadcast_shutdown ();
       let rds =
-        (match listener with Some l -> [ Transport.listener_fd l ] | None -> [])
-        @ List.filter_map
+        lfd
+        :: List.filter_map
             (fun k -> if Conn.is_closed k.tc then None else Some (Conn.fd k.tc))
             !conns
       in
       (match Unix.select rds [] [] 0.05 with
       | ready, _, _ ->
-        (match listener with
-        | Some l when List.memq (Transport.listener_fd l) ready -> accept_new l
-        | _ -> ());
+        if List.memq lfd ready then accept_new ();
         List.iter
           (fun k -> if (not (Conn.is_closed k.tc)) && List.memq (Conn.fd k.tc) ready then pump k)
           !conns
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       reap ();
       check_deadlines ();
-      conns := List.filter (fun k -> not (Conn.is_closed k.tc)) !conns;
-      (* A remote roster cannot respawn: losing every worker with cells
-         still unresolved is a dead end, not a wait. *)
-      match c.roster with
-      | Remote _ when !resolved < n && !conns = [] ->
-        fail "all %d roster workers lost with %d cells unresolved" expected (n - !resolved)
-      | _ -> ()
+      conns := List.filter (fun k -> not (Conn.is_closed k.tc)) !conns
     done;
     let first_failure = ref None in
     for i = n - 1 downto 0 do

@@ -17,7 +17,7 @@ type to_worker =
   | Shutdown
 
 type from_worker =
-  | Hello of { pid : int; fingerprint : string; cache_epoch : int; now_ns : int }
+  | Hello of { pid : int; fingerprint : string; cache_epoch : int }
   | Heartbeat
   | Result of { cell : int; outcome : Bcclb_harness.Runner.cell_outcome; seconds : float }
   | Cell_error of { cell : int; message : string }
@@ -35,11 +35,10 @@ type from_worker =
 
    Wire.version catches a framing change; the fingerprint catches
    everything else — two binaries whose marshalled representations (or
-   cell semantics) could disagree. Digesting the executable is the
-   whole same-executable contract made checkable across machines:
-   identical builds digest identically, anything else is refused at
-   join time. The env override exists so tests can force a skew without
-   building a second binary. *)
+   cell semantics) could disagree. Digesting the executable makes the
+   same-executable contract checkable: identical builds digest
+   identically, anything else is refused at join time. The env override
+   exists so tests can force a skew without building a second binary. *)
 
 let fingerprint_env = "BCCLB_DIST_FINGERPRINT"
 
@@ -57,7 +56,7 @@ let handshake_error ~fingerprint:fp ~cache_epoch =
   if not (String.equal fp (fingerprint ())) then
     Some
       (Printf.sprintf
-         "binary fingerprint mismatch (coordinator %s, worker %s) — the roster must run \
+         "binary fingerprint mismatch (coordinator %s, worker %s) — workers must run \
           the same build"
          (fingerprint ()) fp)
   else if cache_epoch <> Bcclb_harness.Cache.format_epoch then
@@ -74,7 +73,6 @@ let hello () =
       pid = Unix.getpid ();
       fingerprint = fingerprint ();
       cache_epoch = Bcclb_harness.Cache.format_epoch;
-      now_ns = Bcclb_obs.Mclock.now_ns ();
     }
 
 let tag_to_worker = 'C'

@@ -4,9 +4,9 @@
     wire.} The safety argument, in full: (1) payloads only reach
     {!of_payload_*} after {!Wire} has verified magic, protocol version
     and CRC, so random corruption is rejected before unmarshalling; (2)
-    both ends are the {e same build} — self-spawned workers by
-    construction, roster workers by the fingerprint handshake below, so
-    the marshalled representations agree; (3) a direction tag byte
+    both ends are the {e same build} — workers are self-spawned from
+    the coordinator's own executable, and the fingerprint handshake
+    below checks it, so the marshalled representations agree; (3) a direction tag byte
     leads every payload, so a coordinator frame misrouted to
     coordinator code (or vice versa) is refused before
     [Marshal.from_string] can misinterpret it; (4) none of the carried
@@ -29,8 +29,7 @@ type to_worker =
     }
       (** First message after an accepted [Hello]: which experiment this
           sweep runs, where the shared result cache lives ([None] =
-          [--no-cache]; multi-host rosters need the root on a shared
-          filesystem), how often an idle worker should heartbeat, and —
+          [--no-cache]), how often an idle worker should heartbeat, and —
           when the coordinator is tracing — the trace context the
           worker should buffer spans under ([Some] switches the worker
           to {!Bcclb_obs.Trace.start_collect} mode). *)
@@ -46,20 +45,16 @@ type to_worker =
           simply not found in the local queue — the duplicate [Result]
           is settled by the coordinator's first-resolution rule. *)
   | Reject of { reason : string }
-      (** The join handshake failed (fingerprint or cache-epoch skew).
-          A spawned worker exits; a pre-started one logs and returns to
-          accepting. *)
+      (** The join handshake failed (fingerprint or cache-epoch skew);
+          the worker exits. *)
   | Shutdown  (** No more work: send [Bye] and wind down. *)
 
 type from_worker =
-  | Hello of { pid : int; fingerprint : string; cache_epoch : int; now_ns : int }
+  | Hello of { pid : int; fingerprint : string; cache_epoch : int }
       (** First frame on a fresh connection, carrying the join
           handshake: the worker binary's digest and its cache-entry
           format epoch, both checked against the coordinator's own
-          before any work is leased — plus the worker's raw monotonic
-          clock at send time, from which the coordinator estimates the
-          per-worker offset ({!Bcclb_obs.Trace.offset_of_handshake})
-          used to place shipped spans on its own timeline. *)
+          before any work is leased. *)
   | Heartbeat  (** Sent while idle, every [heartbeat_interval]. *)
   | Result of {
       cell : int;

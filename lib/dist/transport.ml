@@ -1,80 +1,52 @@
-(* The endpoint layer under the dist runtime: every place that used to
-   hand-roll socket setup and framed I/O (the coordinator's listener,
-   the worker's dial-back and listen endpoint) goes through here. A
-   [listener] owns bind/listen/accept and the unlink of a unix-domain
-   socket path; a [Conn.t] owns one connected fd, its incremental
-   {!Wire} reader and a last-activity clock for heartbeat deadlines.
-   The SIGINT/SIGTERM drain-and-unlink protocol shared by the
-   listen-mode worker and the CLI lives here too
-   ({!install_stop_signals}/{!stop_requested}). *)
+(* The endpoint layer under the dist runtime: the coordinator's listener
+   and the worker's dial-back both go through here. A [listener] owns
+   bind/listen/accept and the unlink of its socket path; a [Conn.t]
+   owns one connected fd, its incremental {!Wire} reader and a
+   last-activity clock for heartbeat deadlines. *)
 
 module Obs = Bcclb_obs
 
 let now () = Obs.Mclock.ns_to_s (Obs.Mclock.now_ns ())
 
-type listener = { lfd : Unix.file_descr; laddr : Addr.t; mutable lclosed : bool }
+type listener = { lfd : Unix.file_descr; path : string; mutable lclosed : bool }
 
 let listener_fd l = l.lfd
-let listener_addr l = l.laddr
+let listener_path l = l.path
 
 let close_listener l =
   if not l.lclosed then begin
     l.lclosed <- true;
     (try Unix.close l.lfd with Unix.Unix_error _ -> ());
-    match l.laddr with
-    | Addr.Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-    | Addr.Tcp _ -> ()
+    try Unix.unlink l.path with Unix.Unix_error _ -> ()
   end
-
-let listen ?(backlog = 64) ?(reuseaddr = true) addr =
-  match
-    let fd = Unix.socket ~cloexec:true (Addr.domain addr) Unix.SOCK_STREAM 0 in
-    (try
-       (match addr with
-       | Addr.Unix_socket _ -> ()
-       | Addr.Tcp _ -> if reuseaddr then Unix.setsockopt fd Unix.SO_REUSEADDR true);
-       Unix.bind fd (Addr.sockaddr addr);
-       Unix.listen fd backlog
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
-  with
-  | exception Unix.Unix_error (err, _, _) ->
-    Error
-      (Printf.sprintf "cannot listen on %s: %s" (Addr.to_string addr) (Unix.error_message err))
-  | exception Failure msg -> Error msg
-  | fd ->
-    (* An ephemeral TCP port (0) resolves here so the caller learns the
-       address it can actually print. *)
-    let addr =
-      match (addr, Unix.getsockname fd) with
-      | Addr.Tcp (host, 0), Unix.ADDR_INET (_, port) -> Addr.Tcp (host, port)
-      | _ -> addr
-    in
-    Ok { lfd = fd; laddr = addr; lclosed = false }
 
 let sock_counter = Atomic.make 0
 
-(* A fresh local endpoint nobody else can be squatting on: a unique
-   socket path in $TMPDIR, or a kernel-chosen loopback TCP port. *)
-let listen_local ?backlog transport =
-  let addr =
-    match transport with
-    | `Unix_socket ->
-      let path =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "bcclb-dist-%d-%d.sock" (Unix.getpid ())
-             (Atomic.fetch_and_add sock_counter 1))
-      in
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      Addr.Unix_socket path
-    | `Tcp -> Addr.Tcp ("127.0.0.1", 0)
+(* A fresh endpoint nobody else can be squatting on: a unique socket
+   path in $TMPDIR. *)
+let listen_local () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "bcclb-dist-%d-%d.sock" (Unix.getpid ())
+         (Atomic.fetch_and_add sock_counter 1))
   in
-  match listen ?backlog addr with
-  | Ok l -> l
-  | Error e -> failwith ("dist: " ^ e)
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let fail err =
+    failwith (Printf.sprintf "dist: cannot listen on %s: %s" path (Unix.error_message err))
+  in
+  let fd =
+    try Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+    with Unix.Unix_error (err, _, _) -> fail err
+  in
+  match
+    Unix.bind fd (Unix.ADDR_UNIX path);
+    Unix.listen fd 64
+  with
+  | () -> { lfd = fd; path; lclosed = false }
+  | exception Unix.Unix_error (err, _, _) ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    fail err
 
 module Conn = struct
   type t = {
@@ -88,8 +60,6 @@ module Conn = struct
 
   let fd t = t.fd
   let is_closed t = t.closed
-  let last_seen t = t.last_seen
-  let touch t = t.last_seen <- now ()
   let idle_for ~now:t_now t = t_now -. t.last_seen
 
   let close t =
@@ -100,30 +70,22 @@ module Conn = struct
 
   (* A fresh socket per attempt: a fd whose connect failed is not
      reusable. Retries cover scheduler lag between a coordinator
-     listening and its spawned workers dialing back (and the converse
-     for pre-started rosters). *)
-  let dial ?(tries = 20) ?(retry_delay = 0.05) addr =
+     listening and its spawned workers dialing back. *)
+  let dial ?(tries = 20) ?(retry_delay = 0.05) path =
     let rec go tries =
-      match Unix.socket ~cloexec:true (Addr.domain addr) Unix.SOCK_STREAM 0 with
+      match Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 with
       | exception Unix.Unix_error (err, _, _) ->
         Error (Printf.sprintf "socket: %s" (Unix.error_message err))
       | fd -> (
-        match Unix.connect fd (Addr.sockaddr addr) with
+        match Unix.connect fd (Unix.ADDR_UNIX path) with
         | () -> Ok (of_fd fd)
-        | exception
-            Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT | Unix.ETIMEDOUT), _, _)
-          when tries > 0 ->
+        | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) when tries > 0 ->
           (try Unix.close fd with Unix.Unix_error _ -> ());
           Unix.sleepf retry_delay;
           go (tries - 1)
         | exception Unix.Unix_error (err, _, _) ->
           (try Unix.close fd with Unix.Unix_error _ -> ());
-          Error
-            (Printf.sprintf "cannot connect to %s: %s" (Addr.to_string addr)
-               (Unix.error_message err))
-        | exception Failure msg ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Error msg)
+          Error (Printf.sprintf "cannot connect to %s: %s" path (Unix.error_message err)))
     in
     go tries
 
@@ -169,31 +131,3 @@ let accept_all l ~on_conn =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   in
   go ()
-
-(* ---- the shared SIGINT/SIGTERM drain protocol ----
-
-   One flag and two signals: the listen-mode worker and
-   `stats --follow` set a flag from the handler and poll it; the worker
-   then drains in-flight work and unlinks its socket file on the way
-   out. Keeping it here means the unlink cannot be forgotten: pair
-   [stop_requested] with [close_listener].
-
-   The handler only flips the flag — a trace flush does file I/O and
-   must not run in signal context — so the span buffer is flushed by an
-   [at_exit] hook instead: whichever way the drained daemon leaves
-   (normal return, [exit 0], even a Fatal's [exit 3]), an active
-   file-backed trace is written out rather than lost. Registered once,
-   from the first [install_stop_signals]. *)
-
-let trace_flush_registered = Atomic.make false
-
-let install_stop_signals () =
-  let flag = Atomic.make false in
-  let handler = Sys.Signal_handle (fun _ -> Atomic.set flag true) in
-  Sys.set_signal Sys.sigint handler;
-  Sys.set_signal Sys.sigterm handler;
-  if not (Atomic.exchange trace_flush_registered true) then
-    at_exit (fun () -> Obs.Trace.stop ());
-  flag
-
-let stop_requested flag = Atomic.get flag

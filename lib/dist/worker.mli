@@ -1,18 +1,14 @@
-(** The worker process entry points.
+(** The worker process entry point.
 
     A worker is the same build as the coordinator — enforced at join
-    time by the fingerprint handshake in [Hello] — reached one of two
-    ways: {!main} is the dial-back mode used by self-populated rosters
-    (the hidden [experiments worker --socket ADDR] subcommand, or the
-    test binary under an environment flag); {!main_listen} is the
-    pre-started mode ([experiments worker --listen ADDR]) that serves
-    one coordinator session per accepted connection until
-    SIGINT/SIGTERM, then drains and unlinks its endpoint.
+    time by the fingerprint handshake in [Hello] — spawned by it as the
+    hidden [experiments worker --socket PATH] subcommand (or as the test
+    binary under an environment flag), and it dials back.
 
-    Within a session the worker says [Hello], learns its sweep from
-    [Init], then works {!Msg.Lease} batches by running
-    {!Bcclb_harness.Runner.run_cell} — cache probe, compute,
-    checkpoint — streaming each {!Msg.Result} back as it lands. Control
+    The worker says [Hello], learns its sweep from [Init], then works
+    {!Msg.Lease} batches by running {!Bcclb_harness.Runner.run_cell} —
+    cache probe, compute, checkpoint — streaming each {!Msg.Result} back
+    as it lands. Control
     frames are drained between cells, so a [Revoke] (work stealing)
     takes effect before the next revoked cell would start. Each drained
     lease ships a {!Bcclb_obs.Metrics.delta} in [Lease_done]; [Bye]
@@ -32,19 +28,9 @@ val main :
   address:string ->
   unit ->
   unit
-(** Dial-back mode. Never returns normally: exits 0 on shutdown or
-    coordinator disappearance, 3 on a fatal protocol/setup error or
-    handshake rejection (after attempting to report), 66 on an injected
-    crash. [resolve] defaults to {!Bcclb_harness.Registry.find}; tests
-    pass their own registry. *)
-
-val main_listen :
-  ?resolve:(string -> Bcclb_harness.Experiment.t option) ->
-  address:string ->
-  unit ->
-  unit
-(** Listen mode. Binds [address] (e.g. [tcp:127.0.0.1:7801]), serves
-    coordinator sessions until SIGINT/SIGTERM, removes the endpoint and
-    exits 0. A handshake rejection ends the session but not the
-    process. Exits 3 if the address cannot be bound or a session hits a
-    fatal protocol error, 66 on an injected crash. *)
+(** Dial the coordinator's socket path [address] and serve one sweep.
+    Never returns normally: exits 0 on shutdown or coordinator
+    disappearance, 3 on a fatal protocol/setup error or handshake
+    rejection (after attempting to report), 66 on an injected crash.
+    [resolve] defaults to {!Bcclb_harness.Registry.find}; tests pass
+    their own registry. *)

@@ -69,12 +69,10 @@ let run_cell ?cache (exp : Experiment.t) params =
   in
   { rows; hit; executions; peak_words = (Gc.quick_stat ()).Gc.top_heap_words }
 
-type roster = [ `Local of int | `Remote of string list ]
-
-type backend = [ `Domains | `Procs of int | `Roster of string list ]
+type backend = [ `Domains | `Procs of int ]
 
 type procs_runner =
-  roster:roster ->
+  workers:int ->
   cache:Cache.t option ->
   exp:Experiment.t ->
   cells:Params.t array ->
@@ -96,7 +94,6 @@ let run ?(backend = `Domains) ?cache ?num_domains ?grid ~sink (exp : Experiment.
     match backend with
     | `Domains -> "domains"
     | `Procs w -> Printf.sprintf "procs:%d" w
-    | `Roster addrs -> Printf.sprintf "roster:%d" (List.length addrs)
   in
   let results =
     Obs.span "runner.experiment"
@@ -109,16 +106,13 @@ let run ?(backend = `Domains) ?cache ?num_domains ?grid ~sink (exp : Experiment.
       (fun () ->
         match backend with
         | `Domains -> Pool.map_batch_timed ?num_domains (fun params -> run_cell ?cache exp params) cells
-        | (`Procs _ | `Roster _) as b -> (
-          let roster =
-            match b with `Procs workers -> `Local workers | `Roster addrs -> `Remote addrs
-          in
+        | `Procs workers -> (
           match !procs_runner with
           | None ->
             failwith
               "Runner: `Procs backend requested but no procs runner is installed (link \
                Bcclb_dist and call Backend.install)"
-          | Some r -> r ~roster ~cache ~exp ~cells))
+          | Some r -> r ~workers ~cache ~exp ~cells))
   in
   Obs.Metrics.Histogram.observe experiment_seconds (exp_stopwatch ());
   let all_rows = List.concat_map (fun ((o : cell_outcome), _) -> o.rows) (Array.to_list results) in

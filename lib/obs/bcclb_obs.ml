@@ -5,7 +5,6 @@
 module Mclock = Mclock
 module Metrics = Metrics
 module Trace = Trace
-module Expo = Expo
 
 let span = Trace.span
 

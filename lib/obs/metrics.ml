@@ -162,8 +162,8 @@ type value = Counter of int | Gauge of float | Histogram of hist
 let quantile h q =
   (* Total on degenerate input: no observations, or a bucket layout
      with no finite bounds (e.g. absorbed from a foreign registry),
-     must yield 0.0 rather than NaN or an index error — the exposition
-     renderer and bench reports interpolate over whatever is here. *)
+     must yield 0.0 rather than NaN or an index error — [stats], the
+     manifest and bench reports interpolate over whatever is here. *)
   if h.count = 0 || Array.length h.le = 0 then 0.0
   else begin
     let q = Float.max 0.0 (Float.min 1.0 q) in

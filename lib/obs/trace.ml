@@ -7,11 +7,12 @@
    Spans form a tree: every span gets a process-unique id and records
    the id of the innermost span open on its domain (its parent). The
    tree extends across processes: a [context] — trace id plus parent
-   span id — travels over the dist wire, remote children buffer in
+   span id — travels over the dist wire, worker children buffer in
    [collect] mode with raw monotonic timestamps, and the coordinator
-   {!ingest}s the shipped events after mapping them onto its own clock
-   with the handshake-derived offset. Each process keeps its own pid
-   lane in the merged Perfetto timeline. *)
+   {!ingest}s the shipped events onto its own timeline. Workers are
+   local processes reading the same CLOCK_MONOTONIC, so the coordinator
+   ingests with offset 0. Each process keeps its own pid lane in the
+   merged Perfetto timeline. *)
 
 type event = {
   name : string;
@@ -141,17 +142,6 @@ let drain () =
     let pid = Unix.getpid () in
     List.rev_map (fun ev -> if ev.pid = 0 then { ev with pid } else ev) events
 
-(* Midpoint estimate: the remote clock reading [remote_ns] was taken
-   somewhere between [sent_ns] (local clock when the connection was
-   initiated) and [recv_ns] (local clock when the reading arrived), so
-   assume the midpoint. Maps remote raw ns onto the local raw clock:
-   local ≈ remote + offset. Any remote event timestamped at or after
-   [remote_ns] therefore lands at or after [sent_ns] — ingested child
-   spans can never start before the local span that initiated the
-   connection. *)
-let offset_of_handshake ~sent_ns ~recv_ns ~remote_ns =
-  ((sent_ns + recv_ns) / 2) - remote_ns
-
 let ingest ~offset_ns events =
   match !current with
   | None -> ()
@@ -209,7 +199,7 @@ let write_file path content =
 
 (* Chrome trace_event JSON: complete ("ph":"X") events, ts/dur in
    microseconds. Perfetto infers nesting from overlapping X events on
-   the same (pid, tid) track; ingested remote spans keep their own pid
+   the same (pid, tid) track; ingested worker spans keep their own pid
    and so render as one lane per worker. *)
 let chrome_json events =
   let self = Unix.getpid () in

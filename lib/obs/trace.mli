@@ -18,11 +18,10 @@
     Spans form a tree that extends across processes: every span has a
     process-unique {!field-event.id} and records its parent's id, a
     {!context} (trace id + parent span id) travels over the dist wire,
-    remote processes buffer spans in {!start_collect} mode and ship
+    worker processes buffer spans in {!start_collect} mode and ship
     them home via {!drain}, and the originating process {!ingest}s them
-    after mapping timestamps with {!offset_of_handshake}. Ingested
-    events keep their own [pid], so the merged Perfetto timeline shows
-    one lane per worker.
+    onto its own timeline. Ingested events keep their own [pid], so the
+    merged Perfetto timeline shows one lane per worker.
 
     [start]/[stop] must be called from quiescent points (before and
     after the traced workload) — the span hot path itself is safe from
@@ -54,7 +53,8 @@ val start : ?trace_id:string -> file:string -> unit -> unit
 val start_collect : trace_id:string -> unit -> unit
 (** Begin buffering spans without a file, timestamped with the raw
     monotonic clock (no [t0] subtraction) so the receiving side can
-    apply a clock offset. {!stop} discards; use {!drain} to ship. *)
+    place them on its own timeline. {!stop} discards; use {!drain} to
+    ship. *)
 
 val start_from_env : ?var:string -> unit -> unit
 (** [start_from_env ()] calls {!start} with the value of [$BCCLB_TRACE]
@@ -96,16 +96,8 @@ val ingest : offset_ns:int -> event list -> unit
 (** Append foreign (drained) events to the active trace, mapping each
     [start_ns] from the remote clock onto this trace's timeline:
     [start_ns + offset_ns - t0], clamped at 0. A no-op when tracing is
-    off. *)
-
-val offset_of_handshake : sent_ns:int -> recv_ns:int -> remote_ns:int -> int
-(** Midpoint clock-offset estimate from one handshake round-trip:
-    [remote_ns] (remote raw clock, e.g. shipped in [Hello]) was read
-    between [sent_ns] and [recv_ns] (local raw clock at connection
-    initiation and at receipt), so assume the midpoint:
-    [local ≈ remote + offset]. Guarantees remote events recorded at or
-    after the handshake map to local times at or after [sent_ns] —
-    children never start before the span that dialed them. *)
+    off. Processes on the same host share [CLOCK_MONOTONIC], so their
+    offset is 0. *)
 
 val jsonl_path : string -> string
 (** The JSONL twin of a Chrome trace path: [x.json -> x.jsonl],

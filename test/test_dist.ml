@@ -14,7 +14,6 @@
 
 module Dist = Bcclb_dist
 module Wire = Bcclb_dist.Wire
-module Addr = Bcclb_dist.Addr
 module Faults = Bcclb_dist.Faults
 module Msg = Bcclb_dist.Msg
 module H = Bcclb_harness
@@ -68,10 +67,8 @@ let resolve id = if String.equal id toy.Experiment.id then Some toy else None
 (* What the re-exec'd test binary runs instead of alcotest (test_main
    checks the env var before anything else). *)
 let worker_env = "BCCLB_DIST_TEST_WORKER"
-let listen_env = "BCCLB_DIST_TEST_LISTEN"
 
 let worker_main address = Dist.Worker.main ~resolve ~address ()
-let worker_main_listen address = Dist.Worker.main_listen ~resolve ~address ()
 
 let spawn_env extra_env =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
@@ -90,9 +87,6 @@ let spawn ~address = spawn_env [| worker_env ^ "=" ^ address |]
    keeps its own executable digest. *)
 let spawn_skewed ~address =
   spawn_env [| worker_env ^ "=" ^ address; Msg.fingerprint_env ^ "=deadbeef" |]
-
-(* A pre-started listen-mode worker (the --workers roster fixture). *)
-let spawn_listen address = spawn_env [| listen_env ^ "=" ^ address |]
 
 (* ---- scratch dirs (as in test_harness) ---- *)
 
@@ -253,50 +247,6 @@ let test_trace_context_wire_roundtrip () =
   | Ok _ -> Alcotest.fail "lease_done decoded to something else"
   | Error e -> Alcotest.failf "lease_done round-trip: %s" e
 
-(* The OpenMetrics endpoint, scraped over a real socket: a live counter
-   is visible, the body passes the strict Expo lint, and the endpoint
-   counts its own scrapes. *)
-let test_metrics_endpoint () =
-  let module Expose = Bcclb_dist.Expose in
-  let module Expo = Bcclb_obs.Expo in
-  with_dir @@ fun dir ->
-  let path = Filename.concat dir "metrics.sock" in
-  match Expose.start ~address:(Addr.Unix_socket path) () with
-  | Error e -> Alcotest.fail e
-  | Ok ep ->
-    Fun.protect ~finally:(fun () -> Expose.stop ep) @@ fun () ->
-    let counter = Obs.Metrics.Counter.v "test.expose.pings" in
-    Obs.Metrics.Counter.add counter 3;
-    let body =
-      match Expose.scrape (Expose.address ep) with
-      | Ok b -> b
-      | Error e -> Alcotest.fail e
-    in
-    let samples =
-      match Expo.parse body with
-      | Ok s -> s
-      | Error e -> Alcotest.failf "scrape does not lint: %s" e
-    in
-    (match
-       List.find_opt (fun s -> s.Expo.name = "bcclb_test_expose_pings_total") samples
-     with
-    | Some s -> Alcotest.(check (float 0.0)) "live counter visible" 3.0 s.Expo.value
-    | None -> Alcotest.fail "test counter missing from scrape");
-    (* A second scrape sees the first one counted. *)
-    (match Expose.scrape (Expose.address ep) with
-    | Error e -> Alcotest.fail e
-    | Ok body2 -> (
-      match
-        Result.map
-          (List.find_opt (fun s -> s.Expo.name = "bcclb_obs_scrapes_total"))
-          (Expo.parse body2)
-      with
-      | Ok (Some s) ->
-        Alcotest.(check bool) "scrape counter advanced" true (s.Expo.value >= 1.0)
-      | _ -> Alcotest.fail "obs.scrapes missing from scrape"));
-    Expose.stop ep;
-    Alcotest.(check bool) "endpoint socket unlinked after stop" false (Sys.file_exists path)
-
 let test_faults_spec () =
   let f = Result.get_ok (Faults.parse "crash:2, stall:5") in
   Alcotest.(check bool) "crash at 2" true (Faults.action f ~cell:2 ~attempt:0 = Some Faults.Crash);
@@ -393,38 +343,6 @@ let test_cell_error_names_cell () =
   check_backend "domains" None;
   check_backend "procs" (Some (`Procs 2))
 
-(* ---- addresses and rosters ---- *)
-
-let test_addr_forms () =
-  (match Addr.of_string "tcp:[::1]:7501" with
-  | Ok (Addr.Tcp ("::1", 7501)) -> ()
-  | Ok a -> Alcotest.fail ("bracketed v6 mis-parsed as " ^ Addr.to_string a)
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check string) "v6 prints bracketed" "tcp:[::1]:7501"
-    (Addr.to_string (Addr.Tcp ("::1", 7501)));
-  Alcotest.(check string) "v4 prints bare" "tcp:127.0.0.1:80"
-    (Addr.to_string (Addr.Tcp ("127.0.0.1", 80)));
-  (* An unbracketed multi-colon host is refused, and the error teaches
-     the bracket syntax instead of silently mis-splitting at the last
-     colon. *)
-  (match Addr.of_string "tcp:fe80::7501" with
-  | Error e -> Alcotest.(check bool) "error names brackets" true (contains e "bracket")
-  | Ok a -> Alcotest.fail ("multi-colon host accepted as " ^ Addr.to_string a));
-  List.iter
-    (fun bad ->
-      match Addr.of_string bad with
-      | Error _ -> ()
-      | Ok a -> Alcotest.fail (Printf.sprintf "accepted %S as %s" bad (Addr.to_string a)))
-    [ "tcp:[::1]7501"; "tcp:[::1]:"; "tcp:[]:75"; "tcp:h:0"; "tcp:h:99999"; "unix:"; "x:y" ];
-  (* Rosters: blanks are skipped, the empty roster is an error. *)
-  (match Addr.roster_of_string " tcp:a:1, ,unix:/b.sock ," with
-  | Ok [ Addr.Tcp ("a", 1); Addr.Unix_socket "/b.sock" ] -> ()
-  | Ok _ -> Alcotest.fail "roster mis-parsed"
-  | Error e -> Alcotest.fail e);
-  match Addr.roster_of_string " , ," with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty roster accepted"
-
 let test_handshake_check () =
   (match Msg.hello () with
   | Msg.Hello { fingerprint; cache_epoch; _ } ->
@@ -440,12 +358,11 @@ let test_handshake_check () =
     | None -> Alcotest.fail "skewed cache epoch accepted")
   | _ -> Alcotest.fail "hello () is not a Hello")
 
-(* ---- end-to-end: handshake, stealing, streaming deltas, rosters ---- *)
+(* ---- end-to-end: handshake, stealing, streaming deltas ---- *)
 
 let test_skewed_worker_rejected () =
   (* A worker whose binary fingerprint differs is rejected at join time;
-     for a self-spawned roster that is a fail-fast (respawning the same
-     binary cannot help). *)
+     that is a fail-fast (respawning the same binary cannot help). *)
   Dist.Backend.install ~spawn:spawn_skewed ();
   with_faults "" @@ fun () ->
   let rejects_before = counter_value "dist.handshake_rejects" in
@@ -494,43 +411,6 @@ let test_metric_deltas_stream_before_bye () =
   Alcotest.(check int) "every worker cell accounted across delta shipments" 8
     (counter_value "dist.worker.cells" - cells_before)
 
-let test_roster_of_listen_workers () =
-  (* The pre-started roster path end to end: two listen-mode workers on
-     unix sockets, dialed via `Roster — cold run byte-identical, warm
-     run over the same still-alive workers all hits, and SIGTERM drains
-     them and unlinks their endpoints. *)
-  install ();
-  with_faults "" @@ fun () ->
-  with_dir @@ fun dir ->
-  let socks = [ Filename.concat dir "w1.sock"; Filename.concat dir "w2.sock" ] in
-  let entries = List.map (fun p -> "unix:" ^ p) socks in
-  let pids = List.map spawn_listen entries in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()) pids;
-      List.iter (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()) pids)
-  @@ fun () ->
-  let cache = H.Cache.create ~root:(Filename.concat dir "cache") in
-  let joins_before = counter_value "dist.remote_workers_joined" in
-  let out_cold, cold = render_run ~backend:(`Roster entries) ~cache toy in
-  Alcotest.(check string) "roster report byte-identical to domains" (domains_reference ())
-    out_cold;
-  Alcotest.(check int) "cold run is all misses" 0 cold.H.Sink.hits;
-  Alcotest.(check int) "both roster workers joined" 2
-    (counter_value "dist.remote_workers_joined" - joins_before);
-  (* Same worker processes serve a second sweep (one session each per
-     sweep): the roster is reusable, and the warm run is pure hits. *)
-  let out_warm, warm = render_run ~backend:(`Roster entries) ~cache toy in
-  Alcotest.(check string) "warm roster report byte-identical" out_cold out_warm;
-  Alcotest.(check int) "warm run is all hits" warm.H.Sink.cells warm.H.Sink.hits;
-  (* Drain-and-unlink: SIGTERM each worker, wait, and the socket files
-     must be gone. *)
-  List.iter (fun pid -> Unix.kill pid Sys.sigterm) pids;
-  List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
-  List.iter
-    (fun p -> Alcotest.(check bool) ("endpoint unlinked: " ^ p) false (Sys.file_exists p))
-    socks
-
 let suites =
   [ Alcotest.test_case "wire rejects truncation, corruption, version skew" `Quick
       test_wire_rejections;
@@ -539,9 +419,7 @@ let suites =
     Alcotest.test_case "msg payloads carry direction tags" `Quick test_msg_direction_tags;
     Alcotest.test_case "trace contexts and span shipments survive the wire" `Quick
       test_trace_context_wire_roundtrip;
-    Alcotest.test_case "metrics endpoint scrapes and lints" `Quick test_metrics_endpoint;
     Alcotest.test_case "fault specs parse and are one-shot" `Quick test_faults_spec;
-    Alcotest.test_case "addresses: IPv6 brackets, bad forms, rosters" `Quick test_addr_forms;
     Alcotest.test_case "handshake accepts self, names skews" `Quick test_handshake_check;
     Alcotest.test_case "procs backend byte-identical + shared cache" `Slow
       test_procs_matches_domains;
@@ -556,9 +434,7 @@ let suites =
     Alcotest.test_case "an idle worker steals a stalled lease's tail" `Slow
       test_steal_under_stall;
     Alcotest.test_case "metric deltas stream home before Bye" `Slow
-      test_metric_deltas_stream_before_bye;
-    Alcotest.test_case "pre-started roster: two sweeps, then drain-and-unlink" `Slow
-      test_roster_of_listen_workers ]
+      test_metric_deltas_stream_before_bye ]
 
 let qsuites =
   let open QCheck2 in
@@ -580,27 +456,4 @@ let qsuites =
         match Wire.decode (String.sub frame 0 cut) with
         | Error Wire.Truncated -> true
         | Error _ -> false (* a strict prefix must read as truncation, nothing else *)
-        | Ok _ -> false);
-    (* Roster strings round-trip: any mix of unix paths, v4/hostname and
-       bracketed-v6 TCP endpoints survives to_string/of_string both as
-       single addresses and as comma-joined rosters. (Paths are drawn
-       comma- and colon-free — the separators the roster syntax owns.) *)
-    (let addr_gen =
-       let open Gen in
-       let word = string_size ~gen:(char_range 'a' 'z') (1 -- 12) in
-       oneof
-         [ map (fun w -> Addr.Unix_socket ("/tmp/" ^ w ^ ".sock")) word;
-           map2
-             (fun h p -> Addr.Tcp (h, p))
-             (oneofl [ "127.0.0.1"; "localhost"; "worker-7.example" ])
-             (1 -- 65535);
-           map2
-             (fun h p -> Addr.Tcp (h, p))
-             (oneofl [ "::1"; "fe80::2"; "2001:db8::17" ])
-             (1 -- 65535) ]
-     in
-     Test.make ~name:"rosters round-trip through their printed form" ~count:200
-       Gen.(list_size (1 -- 6) addr_gen)
-       (fun addrs ->
-         Addr.roster_of_string (Addr.roster_to_string addrs) = Ok addrs
-         && List.for_all (fun a -> Addr.of_string (Addr.to_string a) = Ok a) addrs)) ]
+        | Ok _ -> false) ]

@@ -331,103 +331,20 @@ let test_span_disabled_and_exceptional () =
   Alcotest.(check int) "exceptional spans still recorded" 1 (Trace.event_count ());
   Trace.stop ()
 
-(* ---- OpenMetrics exposition: render, strict parse, NaN guards ---- *)
+(* ---- NaN guards ---- *)
 
-module Expo = Bcclb_obs.Expo
-
-let test_expo_roundtrip () =
-  Metrics.reset ();
-  let c = Metrics.Counter.v "test.expo.hits" in
-  let g = Metrics.Gauge.v "test.expo.depth" in
-  let h = Metrics.Histogram.v ~buckets:[| 1.0; 2.0; 4.0 |] "test.expo.lat" in
-  Metrics.Counter.add c 7;
-  Metrics.Gauge.set g 2.5;
-  List.iter (Metrics.Histogram.observe h) [ 0.5; 0.5; 1.5; 3.0; 9.0 ];
-  let body = Expo.render (Metrics.snapshot ()) in
-  Alcotest.(check bool) "lint accepts the renderer's own output" true
-    (Result.is_ok (Expo.lint body));
-  let samples =
-    match Expo.parse body with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "parse: %s" e
-  in
-  let value ?(labels = []) name =
-    match
-      List.find_opt (fun s -> s.Expo.name = name && s.Expo.labels = labels) samples
-    with
-    | Some s -> s.Expo.value
-    | None -> Alcotest.failf "sample %s%s missing" name (if labels = [] then "" else "{...}")
-  in
-  Alcotest.(check (float 0.0)) "counter total" 7.0 (value "bcclb_test_expo_hits_total");
-  Alcotest.(check (float 0.0)) "gauge" 2.5 (value "bcclb_test_expo_depth");
-  (* Buckets are cumulative and end at +Inf = count. *)
-  Alcotest.(check (float 0.0)) "le=1 bucket" 2.0
-    (value ~labels:[ ("le", "1") ] "bcclb_test_expo_lat_bucket");
-  Alcotest.(check (float 0.0)) "le=+Inf bucket" 5.0
-    (value ~labels:[ ("le", "+Inf") ] "bcclb_test_expo_lat_bucket");
-  Alcotest.(check (float 0.0)) "count" 5.0 (value "bcclb_test_expo_lat_count");
-  Alcotest.(check (float 1e-9)) "sum" 14.5 (value "bcclb_test_expo_lat_sum");
-  Alcotest.(check (float 1e-9)) "p50 quantile sample" (Metrics.quantile (get_hist "test.expo.lat") 0.5)
-    (value ~labels:[ ("quantile", "0.5") ] "bcclb_test_expo_lat_quantiles")
-
-let test_expo_empty_histogram_nan_free () =
+let test_empty_histogram_nan_free () =
   Metrics.reset ();
   (* Registered, never observed: every derived value (mean, quantiles)
      divides by zero somewhere — the guard must render them all as 0. *)
-  ignore (Metrics.Histogram.v "test.expo.silent");
-  let s = get_hist "test.expo.silent" in
+  ignore (Metrics.Histogram.v "test.metrics.silent");
+  let s = get_hist "test.metrics.silent" in
   List.iter
     (fun q ->
       let v = Metrics.quantile s q in
       Alcotest.(check bool) "quantile of empty histogram is finite" true (Float.is_finite v);
       Alcotest.(check (float 0.0)) "quantile of empty histogram is 0" 0.0 v)
-    [ 0.0; 0.5; 0.99; 1.0 ];
-  let body = Expo.render (Metrics.snapshot ()) in
-  let lower = String.lowercase_ascii body in
-  let contains needle =
-    let n = String.length needle and l = String.length lower in
-    let rec go i = i + n <= l && (String.sub lower i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "no nan in exposition" false (contains "nan");
-  Alcotest.(check bool) "parses cleanly" true (Result.is_ok (Expo.parse body))
-
-let test_expo_strict_parser () =
-  Metrics.reset ();
-  ignore (Metrics.Counter.v "test.expo.c");
-  let h = Metrics.Histogram.v ~buckets:[| 1.0; 2.0 |] "test.expo.h" in
-  Metrics.Histogram.observe h 1.5;
-  let body = Expo.render (Metrics.snapshot ()) in
-  let reject what doctored =
-    match Expo.parse doctored with
-    | Ok _ -> Alcotest.failf "parser accepted %s" what
-    | Error _ -> ()
-  in
-  let replace ~old ~new_ s =
-    let ol = String.length old in
-    let rec find i =
-      if i + ol > String.length s then None
-      else if String.sub s i ol = old then Some i
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> Alcotest.failf "corruption %S not applicable" old
-    | Some i -> String.sub s 0 i ^ new_ ^ String.sub s (i + ol) (String.length s - i - ol)
-  in
-  reject "a truncated body (missing # EOF)" (String.sub body 0 (String.length body - 6));
-  reject "an undeclared family"
-    (replace ~old:"# EOF" ~new_:"mystery_series 1\n# EOF" body);
-  reject "a non-finite value"
-    (replace ~old:"bcclb_test_expo_c_total 0" ~new_:"bcclb_test_expo_c_total nan" body);
-  reject "a non-monotone bucket"
-    (replace ~old:"bcclb_test_expo_h_bucket{le=\"1\"} 0"
-       ~new_:"bcclb_test_expo_h_bucket{le=\"1\"} 9" body);
-  reject "a count disagreeing with +Inf"
-    (replace ~old:"bcclb_test_expo_h_count 1" ~new_:"bcclb_test_expo_h_count 3" body);
-  reject "an escape in a label"
-    (replace ~old:"{le=\"1\"}" ~new_:"{le=\"1\\n\"}" body)
-
-(* ---- cross-process trace merge: context, drain, ingest ---- *)
+    [ 0.0; 0.5; 0.99; 1.0 ]
 
 let test_trace_context_and_merge () =
   with_trace_files @@ fun file ->
@@ -489,11 +406,8 @@ let suites =
       test_chrome_trace_roundtrip;
     Alcotest.test_case "spans are transparent when disabled, recorded on raise" `Quick
       test_span_disabled_and_exceptional;
-    Alcotest.test_case "OpenMetrics render/parse round-trip" `Quick test_expo_roundtrip;
     Alcotest.test_case "empty histograms expose as 0, never NaN" `Quick
-      test_expo_empty_histogram_nan_free;
-    Alcotest.test_case "exposition parser rejects corrupted scrapes" `Quick
-      test_expo_strict_parser;
+      test_empty_histogram_nan_free;
     Alcotest.test_case "trace context, drain and ingest merge pid lanes" `Quick
       test_trace_context_and_merge ]
 
@@ -517,17 +431,4 @@ let qsuites =
         in
         s.Metrics.count = List.length obs
         && monotone qs
-        && List.for_all (fun q -> q >= 0.0 && q <= 100.0) qs);
-    (* The offset model's contract: a remote span recorded at or after
-       the handshake reply (remote_ns) maps to a local time at or after
-       the local clock when the connection was initiated (sent_ns) —
-       i.e. a worker's spans can never render before the coordinator
-       span that dialed it. *)
-    Test.make ~name:"handshake offset never maps remote spans before the dial" ~count:500
-      Gen.(
-        quad (int_range 0 1_000_000_000) (int_range 0 50_000_000)
-          (int_range 0 2_000_000_000) (int_range 0 100_000_000))
-      (fun (sent_ns, rtt_ns, remote_ns, after_ns) ->
-        let recv_ns = sent_ns + rtt_ns in
-        let offset = Trace.offset_of_handshake ~sent_ns ~recv_ns ~remote_ns in
-        remote_ns + after_ns + offset >= sent_ns) ]
+        && List.for_all (fun q -> q >= 0.0 && q <= 100.0) qs) ]
